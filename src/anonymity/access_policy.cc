@@ -18,12 +18,24 @@ bool AccessPolicy::IsSensitive(rdf::TermId term) const {
   return sensitive_.count(term) > 0;
 }
 
+AccessPolicy::AgentGrants AccessPolicy::GrantsOf(
+    const std::string& agent) const {
+  AgentGrants grants;
+  grants.all = grant_all_.count(agent) > 0;
+  if (auto it = grants_.find(agent); it != grants_.end()) {
+    grants.terms = &it->second;
+  }
+  return grants;
+}
+
+bool AccessPolicy::Visible(const AgentGrants& grants, rdf::TermId term) const {
+  return !IsSensitive(term) || grants.all ||
+         (grants.terms != nullptr && grants.terms->count(term) > 0);
+}
+
 Status AccessPolicy::CheckAccess(const std::string& agent,
                                  rdf::TermId term) const {
-  if (!IsSensitive(term)) return OkStatus();
-  if (grant_all_.count(agent)) return OkStatus();
-  auto it = grants_.find(agent);
-  if (it != grants_.end() && it->second.count(term)) return OkStatus();
+  if (Visible(GrantsOf(agent), term)) return OkStatus();
   return PermissionDeniedError("agent '" + agent +
                                "' may not access sensitive term " +
                                std::to_string(term));
@@ -32,10 +44,11 @@ Status AccessPolicy::CheckAccess(const std::string& agent,
 measures::MeasureReport AccessPolicy::FilterReport(
     const std::string& agent, const measures::MeasureReport& report,
     size_t* redacted_out) const {
+  const AgentGrants grants = GrantsOf(agent);
   measures::MeasureReport filtered;
   size_t redacted = 0;
   for (const measures::ScoredTerm& s : report.scores()) {
-    if (CheckAccess(agent, s.term).ok()) {
+    if (Visible(grants, s.term)) {
       filtered.Add(s.term, s.score);
     } else {
       ++redacted;

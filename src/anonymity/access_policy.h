@@ -37,6 +37,8 @@ class AccessPolicy {
 
   /// Copy of `report` with the terms `agent` may not see removed.
   /// `redacted_out` (optional) receives the number of removed entries.
+  /// Resolves the agent's grants once per report; the per-term check
+  /// allocates nothing.
   measures::MeasureReport FilterReport(const std::string& agent,
                                        const measures::MeasureReport& report,
                                        size_t* redacted_out = nullptr) const;
@@ -44,6 +46,17 @@ class AccessPolicy {
   size_t sensitive_count() const { return sensitive_.size(); }
 
  private:
+  /// One agent's grants, resolved once.
+  struct AgentGrants {
+    bool all = false;
+    const std::unordered_set<rdf::TermId>* terms = nullptr;
+  };
+
+  AgentGrants GrantsOf(const std::string& agent) const;
+
+  /// True when an agent holding `grants` may see `term`.
+  bool Visible(const AgentGrants& grants, rdf::TermId term) const;
+
   std::unordered_set<rdf::TermId> sensitive_;
   std::unordered_map<std::string, std::unordered_set<rdf::TermId>> grants_;
   std::unordered_set<std::string> grant_all_;

@@ -15,7 +15,7 @@ ValueHierarchy ValueHierarchy::FromClassHierarchy(
     const rdf::Dictionary& dictionary) {
   ValueHierarchy vh;
   for (rdf::TermId cls : hierarchy.AllClasses()) {
-    const std::vector<rdf::TermId>& parents = hierarchy.Parents(cls);
+    const auto parents = hierarchy.Parents(cls);
     if (parents.empty()) continue;
     const rdf::TermId parent =
         *std::min_element(parents.begin(), parents.end());

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "version/versioned_kb.h"
+
 namespace evorec::delta {
 
 LowLevelDelta ComputeLowLevelDelta(const rdf::KnowledgeBase& before,
@@ -12,31 +14,12 @@ LowLevelDelta ComputeLowLevelDelta(const rdf::KnowledgeBase& before,
   return delta;
 }
 
-namespace {
-
-std::vector<rdf::Triple> SortedUnique(std::vector<rdf::Triple> triples) {
-  std::sort(triples.begin(), triples.end());
-  triples.erase(std::unique(triples.begin(), triples.end()), triples.end());
-  return triples;
-}
-
-}  // namespace
-
 LowLevelDelta DeltaFromCandidates(const rdf::KnowledgeBase& before,
                                   const version::ChangeSet& changes) {
-  const std::vector<rdf::Triple> additions = SortedUnique(changes.additions);
-  const std::vector<rdf::Triple> removals = SortedUnique(changes.removals);
+  version::ChangeSet net = version::NetChanges(before, changes);
   LowLevelDelta delta;
-  // Removals are applied after additions, so a triple in both lists
-  // nets to absent: it is never an addition, and it is a removal
-  // exactly when `before` held it.
-  for (const rdf::Triple& t : additions) {
-    if (std::binary_search(removals.begin(), removals.end(), t)) continue;
-    if (!before.store().Contains(t)) delta.added.push_back(t);
-  }
-  for (const rdf::Triple& t : removals) {
-    if (before.store().Contains(t)) delta.removed.push_back(t);
-  }
+  delta.added = std::move(net.additions);
+  delta.removed = std::move(net.removals);
   return delta;
 }
 

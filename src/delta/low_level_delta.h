@@ -29,8 +29,9 @@ LowLevelDelta ComputeLowLevelDelta(const rdf::KnowledgeBase& before,
 /// The low-level delta of applying `changes` on top of `before` —
 /// equal to ComputeLowLevelDelta(before, before + changes) but
 /// O(|changes| · log T) membership probes instead of an O(T) store
-/// diff: the incremental-refresh path, where the commit's ChangeSet is
-/// already in hand. Follows ChangeSet semantics (removals win over
+/// diff: the path of every adjacent pair (v, v+1), whose archived
+/// ChangeSet is in hand (version::NetChanges as a delta). Follows
+/// ChangeSet semantics (removals win over
 /// additions of the same triple): δ+ = additions that are neither
 /// removed in the same set nor already present, δ− = removals that
 /// were present. Both sides come out SPO-sorted and deduplicated, like

@@ -8,20 +8,27 @@ namespace evorec::engine {
 ArtefactCache::ArtefactCache(size_t capacity, ThreadPool* pool)
     : capacity_(capacity == 0 ? 1 : capacity),
       pool_(pool),
-      betweenness_runs_(std::make_shared<std::atomic<uint64_t>>(0)) {}
+      betweenness_runs_(std::make_shared<std::atomic<uint64_t>>(0)),
+      kernel_builds_(std::make_shared<std::atomic<uint64_t>>(0)) {}
+
+measures::VersionArtefacts ArtefactCache::Bundle(
+    const BaseArtefacts& base,
+    std::shared_ptr<const measures::LazyBetweenness> betweenness) {
+  measures::VersionArtefacts artefacts;
+  artefacts.snapshot = base.snapshot;
+  artefacts.view = base.view;
+  artefacts.graph = base.graph;
+  artefacts.betweenness = std::move(betweenness);
+  artefacts.kernels = base.kernels;
+  return artefacts;
+}
 
 Result<measures::VersionArtefacts> ArtefactCache::Get(
     uint64_t fingerprint, const measures::ContextOptions& options,
     const Materializer& materialize) {
   Result<SharedBase> base = GetBase(fingerprint, materialize);
   if (!base.ok()) return base.status();
-
-  measures::VersionArtefacts artefacts;
-  artefacts.snapshot = (*base)->snapshot;
-  artefacts.view = (*base)->view;
-  artefacts.graph = (*base)->graph;
-  artefacts.betweenness = CellFor(fingerprint, *base, options);
-  return artefacts;
+  return Bundle(**base, CellFor(fingerprint, *base, options));
 }
 
 Result<ArtefactCache::SharedBase> ArtefactCache::GetBase(
@@ -77,6 +84,10 @@ Result<ArtefactCache::SharedBase> ArtefactCache::GetBase(
           schema::SchemaView::Build(*base->snapshot));
       base->graph = std::make_shared<const graph::SchemaGraph>(
           graph::SchemaGraph::Build(*base->view, base->view->classes()));
+      auto counter = kernel_builds_;
+      base->kernels = std::make_shared<const measures::LazyClassKernels>(
+          base->view,
+          [counter] { counter->fetch_add(1, std::memory_order_relaxed); });
       return SharedBase(std::move(base));
     }();
     {
@@ -129,11 +140,6 @@ Result<measures::VersionArtefacts> ArtefactCache::Refresh(
   Result<SharedBase> base = GetBase(to_fingerprint, materialize_to);
   if (!base.ok()) return base.status();
 
-  measures::VersionArtefacts artefacts;
-  artefacts.snapshot = (*base)->snapshot;
-  artefacts.view = (*base)->view;
-  artefacts.graph = (*base)->graph;
-
   // Reuse a cell someone already installed for this (version, options)
   // — it is either the advance below from a racing refresh, or an
   // ordinary lazy cell; both are observationally identical.
@@ -143,8 +149,7 @@ Result<measures::VersionArtefacts> ArtefactCache::Refresh(
     if (it != entries_.end()) {
       auto cell = it->second.betweenness.find(options_fp);
       if (cell != it->second.betweenness.end()) {
-        artefacts.betweenness = cell->second;
-        return artefacts;
+        return Bundle(**base, cell->second);
       }
     }
   }
@@ -187,12 +192,10 @@ Result<measures::VersionArtefacts> ArtefactCache::Refresh(
       // the headline counter honest.
       betweenness_runs_->fetch_add(1, std::memory_order_relaxed);
     }
-    artefacts.betweenness = std::move(cell);
-    return artefacts;
+    return Bundle(**base, std::move(cell));
   }
 
-  artefacts.betweenness = CellFor(to_fingerprint, *base, options);
-  return artefacts;
+  return Bundle(**base, CellFor(to_fingerprint, *base, options));
 }
 
 std::shared_ptr<const measures::LazyBetweenness> ArtefactCache::CellFor(
@@ -226,6 +229,7 @@ ArtefactCacheStats ArtefactCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   ArtefactCacheStats out = stats_;
   out.betweenness_runs = betweenness_runs_->load(std::memory_order_relaxed);
+  out.kernel_builds = kernel_builds_->load(std::memory_order_relaxed);
   return out;
 }
 

@@ -19,10 +19,11 @@ namespace evorec::engine {
 
 /// Counters exposing the artefact cache's behaviour. The reuse
 /// contract of the cold path reads directly off them: walking a
-/// K-version chain must show `betweenness_runs == K` and
-/// `graph_builds == K` (the pre-cache pair-keyed path performed
-/// 2·(K−1) of each, rebuilding every middle version's artefacts for
-/// both pairs that touch it).
+/// K-version chain must show `betweenness_runs == K`,
+/// `graph_builds == K` and `kernel_builds == K` (the pre-cache
+/// pair-keyed path performed 2·(K−1) of each, rebuilding every middle
+/// version's artefacts for both pairs that touch it), and a commit
+/// refresh computes the kernels of the new head alone.
 struct ArtefactCacheStats {
   uint64_t hits = 0;        ///< base artefacts served from the cache
   uint64_t misses = 0;      ///< triggered a base build
@@ -32,6 +33,7 @@ struct ArtefactCacheStats {
   uint64_t view_builds = 0;       ///< SchemaView::Build runs
   uint64_t graph_builds = 0;      ///< SchemaGraph::Build runs
   uint64_t betweenness_runs = 0;  ///< full Brandes computations run
+  uint64_t kernel_builds = 0;     ///< ComputeClassKernels runs
 };
 
 /// Counters of the incremental-refresh path. Together with
@@ -54,11 +56,11 @@ struct IncrementalStats {
 };
 
 /// An LRU cache of per-*version* cold-path artefacts (snapshot, schema
-/// view, own-universe schema graph, lazy betweenness cell), keyed by
-/// the version's content fingerprint — NOT by version pair. Contexts
-/// for the pairs (V1,V2) and (V2,V3) therefore share every V2
-/// artefact, and a timeline walk over K versions builds each version's
-/// artefacts exactly once.
+/// view, own-universe schema graph, lazy class-kernel cell, lazy
+/// betweenness cell), keyed by the version's content fingerprint — NOT
+/// by version pair. Contexts for the pairs (V1,V2) and (V2,V3)
+/// therefore share every V2 artefact, and a timeline walk over K
+/// versions builds each version's artefacts exactly once.
 ///
 /// Thread-safe and single-flight: concurrent requests for one missing
 /// fingerprint coalesce into a single build (the materializer runs
@@ -122,7 +124,14 @@ class ArtefactCache {
     std::shared_ptr<const rdf::KnowledgeBase> snapshot;
     std::shared_ptr<const schema::SchemaView> view;
     std::shared_ptr<const graph::SchemaGraph> graph;
+    std::shared_ptr<const measures::LazyClassKernels> kernels;
   };
+
+  /// The bundle of `base` with `betweenness` as its betweenness cell.
+  static measures::VersionArtefacts Bundle(
+      const BaseArtefacts& base,
+      std::shared_ptr<const measures::LazyBetweenness> betweenness);
+
   using SharedBase = std::shared_ptr<const BaseArtefacts>;
 
   struct Entry {
@@ -155,9 +164,11 @@ class ArtefactCache {
   ArtefactCacheStats stats_;
   IncrementalStats incremental_;
   uint64_t generation_ = 0;
-  // Brandes runs are counted from inside the lazy cells, which may
-  // outlive the cache (shared_ptr keeps the counter valid).
+  // Brandes runs and kernel builds are counted from inside the lazy
+  // cells, which may outlive the cache (shared_ptr keeps the counters
+  // valid).
   std::shared_ptr<std::atomic<uint64_t>> betweenness_runs_;
+  std::shared_ptr<std::atomic<uint64_t>> kernel_builds_;
 };
 
 }  // namespace evorec::engine

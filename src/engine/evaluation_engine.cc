@@ -180,9 +180,25 @@ Result<std::shared_ptr<const SharedEvaluation>> EvaluationEngine::Evaluate(
       after_art = rebuild(v2, after->fingerprint);
       if (!after_art.ok()) return after_art.status();
     }
-    return measures::EvolutionContext::Build(std::move(*before_art),
-                                             std::move(*after_art),
-                                             context_options);
+    if (v2 != v1 + 1) {
+      return measures::EvolutionContext::Build(std::move(*before_art),
+                                               std::move(*after_art),
+                                               context_options);
+    }
+    // Adjacent pair: the delta comes from v2's archived change set by
+    // membership probes (equal to the store diff by contract), not an
+    // O(T) store diff.
+    Result<version::ChangeSet> changes = InternalError("unresolved");
+    {
+      auto lock = LockIfExternal(view);
+      changes = view.Changes(v2);
+    }
+    if (!changes.ok()) return changes.status();
+    delta::LowLevelDelta delta =
+        delta::DeltaFromCandidates(*before_art->snapshot, *changes);
+    return measures::EvolutionContext::Build(
+        std::move(*before_art), std::move(*after_art), std::move(delta),
+        /*advance_from=*/nullptr, context_options);
   };
   return GetOrBuild(key, build, /*refreshed=*/false);
 }

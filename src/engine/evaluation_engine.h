@@ -172,7 +172,9 @@ class EvaluationEngine {
                             EngineOptions options = {});
 
   /// The shared evaluation of versions (v1, v2) of `vkb`, built on
-  /// first request and cached under its snapshot fingerprints. The
+  /// first request and cached under its snapshot fingerprints. An
+  /// adjacent pair (v2 == v1 + 1) takes its delta from v2's archived
+  /// ChangeSet in O(|δ|); other pairs diff the two stores. The
   /// returned evaluation stays valid across eviction but must be
   /// dropped before the engine is destroyed.
   Result<std::shared_ptr<const SharedEvaluation>> Evaluate(

@@ -49,45 +49,6 @@ double ConnectionContribution(const schema::SchemaView& view,
   return rc * weight;
 }
 
-std::vector<double> ComputeCentralityDense(
-    const schema::SchemaView& view, CentralityDirection direction,
-    const std::vector<rdf::TermId>& universe) {
-  std::vector<double> centrality(universe.size(), 0.0);
-  const std::vector<rdf::TermId>& properties = view.properties();
-  const std::vector<size_t> property_totals = PropertyInstanceTotals(view);
-  for (const schema::PropertyConnection& conn : view.connections()) {
-    const size_t p = rdf::SortedIndexOf(properties, conn.property);
-    const double contribution = ConnectionContribution(
-        view, conn, p == rdf::kNotInUniverse ? 0 : property_totals[p]);
-    if (contribution <= 0.0) continue;
-    // Outgoing for the subject class, incoming for the object class.
-    if (direction == CentralityDirection::kOut ||
-        direction == CentralityDirection::kTotal) {
-      const size_t i = rdf::SortedIndexOf(universe, conn.classes.from);
-      if (i != rdf::kNotInUniverse) centrality[i] += contribution;
-    }
-    if (direction == CentralityDirection::kIn ||
-        direction == CentralityDirection::kTotal) {
-      const size_t i = rdf::SortedIndexOf(universe, conn.classes.to);
-      if (i != rdf::kNotInUniverse) centrality[i] += contribution;
-    }
-  }
-  return centrality;
-}
-
-std::unordered_map<rdf::TermId, double> ComputeCentrality(
-    const schema::SchemaView& view, CentralityDirection direction) {
-  const std::vector<rdf::TermId>& classes = view.classes();
-  const std::vector<double> dense =
-      ComputeCentralityDense(view, direction, classes);
-  std::unordered_map<rdf::TermId, double> centrality;
-  centrality.reserve(classes.size());
-  for (size_t i = 0; i < classes.size(); ++i) {
-    centrality[classes[i]] = dense[i];
-  }
-  return centrality;
-}
-
 namespace {
 
 const char* DirectionName(CentralityDirection direction) {
@@ -102,7 +63,34 @@ const char* DirectionName(CentralityDirection direction) {
   return "unknown";
 }
 
+/// The centrality kernel of `direction`, aligned to the view's classes.
+const std::vector<double>& CentralityOf(const ClassKernels& kernels,
+                                        CentralityDirection direction) {
+  switch (direction) {
+    case CentralityDirection::kIn:
+      return kernels.in_centrality;
+    case CentralityDirection::kOut:
+      return kernels.out_centrality;
+    case CentralityDirection::kTotal:
+      break;
+  }
+  return kernels.total_centrality;
+}
+
 }  // namespace
+
+std::unordered_map<rdf::TermId, double> ComputeCentrality(
+    const schema::SchemaView& view, CentralityDirection direction) {
+  const ClassKernels kernels = ComputeClassKernels(view);
+  const std::vector<double>& dense = CentralityOf(kernels, direction);
+  const std::vector<rdf::TermId>& classes = view.classes();
+  std::unordered_map<rdf::TermId, double> centrality;
+  centrality.reserve(classes.size());
+  for (size_t i = 0; i < classes.size(); ++i) {
+    centrality[classes[i]] = dense[i];
+  }
+  return centrality;
+}
 
 CentralityShiftMeasure::CentralityShiftMeasure(CentralityDirection direction)
     : direction_(direction) {
@@ -119,9 +107,11 @@ Result<MeasureReport> CentralityShiftMeasure::Compute(
     const EvolutionContext& ctx) const {
   const std::vector<rdf::TermId>& classes = ctx.union_classes();
   const std::vector<double> before =
-      ComputeCentralityDense(ctx.view_before(), direction_, classes);
+      ScatterToUnion(ctx.view_before().classes(),
+                     CentralityOf(ctx.kernels_before(), direction_), classes);
   const std::vector<double> after =
-      ComputeCentralityDense(ctx.view_after(), direction_, classes);
+      ScatterToUnion(ctx.view_after().classes(),
+                     CentralityOf(ctx.kernels_after(), direction_), classes);
   std::vector<ScoredTerm> scores(classes.size());
   for (size_t i = 0; i < classes.size(); ++i) {
     scores[i] = {classes[i], std::abs(after[i] - before[i])};

@@ -32,7 +32,8 @@ double RelativeCardinality(const schema::SchemaView& view,
 /// relative cardinalities of its incoming/outgoing property
 /// connections, each weighted by the fraction of the property's
 /// instance edges that the connection carries. Classes without
-/// connections score 0.
+/// connections score 0. A map view of ComputeClassKernels (the
+/// measures read the per-version kernel cell instead).
 std::unordered_map<rdf::TermId, double> ComputeCentrality(
     const schema::SchemaView& view, CentralityDirection direction);
 
@@ -50,19 +51,11 @@ double ConnectionContribution(const schema::SchemaView& view,
                               const schema::PropertyConnection& conn,
                               size_t property_total);
 
-/// Flat-kernel form of ComputeCentrality: scores aligned to the sorted
-/// class list `universe` (0 for classes without connections or absent
-/// from the view). One linear pass over the view's connections into a
-/// dense vector — no per-class hashing. The map form above is a thin
-/// wrapper over this kernel.
-std::vector<double> ComputeCentralityDense(
-    const schema::SchemaView& view, CentralityDirection direction,
-    const std::vector<rdf::TermId>& universe);
-
 /// §II.d — importance-shift measure on semantic centrality:
 /// |C_{V2}(n) − C_{V1}(n)| per class, for the configured direction.
 /// Captures how the evolution redistributed instance-level data around
-/// each class — the paper's "cumulative effect" of changes.
+/// each class — the paper's "cumulative effect" of changes. Reads both
+/// versions' kernel cells; only the union scatter runs per pair.
 class CentralityShiftMeasure final : public EvolutionMeasure {
  public:
   explicit CentralityShiftMeasure(

@@ -77,6 +77,19 @@ const graph::BetweennessPartials* LazyBetweenness::Partials() const {
   return &partials_;
 }
 
+LazyClassKernels::LazyClassKernels(
+    std::shared_ptr<const schema::SchemaView> view,
+    std::function<void()> on_compute)
+    : view_(std::move(view)), on_compute_(std::move(on_compute)) {}
+
+const ClassKernels& LazyClassKernels::Get() const {
+  std::call_once(once_, [&] {
+    if (on_compute_) on_compute_();
+    kernels_ = ComputeClassKernels(*view_);
+  });
+  return kernels_;
+}
+
 VersionArtefacts MakeVersionArtefacts(
     std::shared_ptr<const rdf::KnowledgeBase> snapshot,
     const ContextOptions& options, ThreadPool* pool, uint64_t sampling_salt) {
@@ -89,6 +102,7 @@ VersionArtefacts MakeVersionArtefacts(
                                 artefacts.view->classes()));
   artefacts.betweenness = std::make_shared<const LazyBetweenness>(
       artefacts.graph, options, pool, nullptr, sampling_salt);
+  artefacts.kernels = std::make_shared<const LazyClassKernels>(artefacts.view);
   return artefacts;
 }
 
@@ -151,6 +165,15 @@ Result<EvolutionContext> EvolutionContext::Build(
   ctx.graph_after_ = std::move(after.graph);
   ctx.raw_before_ = std::move(before.betweenness);
   ctx.raw_after_ = std::move(after.betweenness);
+  // A bundle assembled without a kernel cell gets a private one.
+  ctx.kernels_before_ =
+      before.kernels != nullptr
+          ? std::move(before.kernels)
+          : std::make_shared<const LazyClassKernels>(ctx.view_before_);
+  ctx.kernels_after_ =
+      after.kernels != nullptr
+          ? std::move(after.kernels)
+          : std::make_shared<const LazyClassKernels>(ctx.view_after_);
   ctx.delta_ = std::move(delta);
   // Deferred-neighborhood build: a context whose measures never touch
   // neighborhoods (e.g. a betweenness-only chain walk) skips the

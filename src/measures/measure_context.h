@@ -119,10 +119,49 @@ class LazyBetweenness {
   mutable std::atomic<bool> ready_{false};
 };
 
+/// The per-version class kernels behind the semantic measures (paper
+/// §II.d), dense over the version's own sorted class list
+/// (view.classes()): in/out/total semantic centrality and
+/// neighborhood-extended relevance. Pure functions of one schema view,
+/// so a version pays for them once however many pairs include it.
+struct ClassKernels {
+  std::vector<double> in_centrality;
+  std::vector<double> out_centrality;
+  std::vector<double> total_centrality;
+  std::vector<double> relevance;
+};
+
+/// Computes every kernel of `view`: one pass over its connections, then
+/// one over its memoised NeighborhoodLists() (defined with the
+/// relevance measure, which builds on centrality).
+ClassKernels ComputeClassKernels(const schema::SchemaView& view);
+
+/// A thread-safe, single-flight lazy cell for one version's
+/// ClassKernels, shared like LazyBetweenness by every context that
+/// touches the version and by the engine's ArtefactCache.
+class LazyClassKernels {
+ public:
+  /// `on_compute`, when set, fires exactly once, right before the
+  /// computation actually runs (cache-stats hook).
+  explicit LazyClassKernels(std::shared_ptr<const schema::SchemaView> view,
+                            std::function<void()> on_compute = nullptr);
+
+  /// The kernels, computed on first call.
+  const ClassKernels& Get() const;
+
+ private:
+  std::shared_ptr<const schema::SchemaView> view_;
+  std::function<void()> on_compute_;
+  mutable std::once_flag once_;
+  mutable ClassKernels kernels_;
+};
+
 /// One version's reusable cold-path artefacts: the snapshot, its
 /// schema view, the schema graph over the *version's own* class set
-/// (node i is view->classes()[i]), and the lazy betweenness cell of
-/// that graph. A version pair context is assembled from two of these,
+/// (node i is view->classes()[i]), the lazy betweenness cell of that
+/// graph, and the lazy class-kernel cell of the view. A bundle without
+/// a kernel cell gets a private one when a context adopts it. A
+/// version pair context is assembled from two of these,
 /// so a version shared by several pairs — e.g. the middle versions of
 /// a timeline chain walk — pays for its artefacts exactly once (see
 /// engine::ArtefactCache).
@@ -131,6 +170,7 @@ struct VersionArtefacts {
   std::shared_ptr<const schema::SchemaView> view;
   std::shared_ptr<const graph::SchemaGraph> graph;
   std::shared_ptr<const LazyBetweenness> betweenness;
+  std::shared_ptr<const LazyClassKernels> kernels;
 };
 
 /// Builds the full artefact bundle for one snapshot (betweenness stays
@@ -183,9 +223,10 @@ class EvolutionContext {
 
   /// Assembles a context from prebuilt per-version artefact bundles
   /// (the ArtefactCache fast path): only the pair-level delta work
-  /// runs; views, graphs and betweenness cells are adopted as-is.
-  /// Both bundles must be fully populated, share a dictionary, and
-  /// have been built with equivalent ContextOptions.
+  /// runs; views, graphs, betweenness and kernel cells are adopted
+  /// as-is. Both bundles must be populated (a missing kernel cell is
+  /// created), share a dictionary, and have been built with equivalent
+  /// ContextOptions.
   static Result<EvolutionContext> Build(VersionArtefacts before,
                                         VersionArtefacts after,
                                         ContextOptions options = {});
@@ -243,6 +284,11 @@ class EvolutionContext {
   const std::vector<double>& raw_betweenness_before() const;
   const std::vector<double>& raw_betweenness_after() const;
 
+  /// Class kernels of each version, aligned to view_*().classes().
+  /// Computed on first call (once per version, shared across pairs).
+  const ClassKernels& kernels_before() const { return kernels_before_->Get(); }
+  const ClassKernels& kernels_after() const { return kernels_after_->Get(); }
+
   const ContextOptions& options() const { return options_; }
 
  private:
@@ -269,6 +315,8 @@ class EvolutionContext {
   std::shared_ptr<const graph::SchemaGraph> graph_after_;
   std::shared_ptr<const LazyBetweenness> raw_before_;
   std::shared_ptr<const LazyBetweenness> raw_after_;
+  std::shared_ptr<const LazyClassKernels> kernels_before_;
+  std::shared_ptr<const LazyClassKernels> kernels_after_;
   std::shared_ptr<LazyArtefacts> lazy_;
 };
 

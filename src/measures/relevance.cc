@@ -6,27 +6,68 @@
 
 namespace evorec::measures {
 
-std::unordered_map<rdf::TermId, double> ComputeRelevance(
-    const schema::SchemaView& view) {
-  const std::unordered_map<rdf::TermId, double> centrality =
-      ComputeCentrality(view, CentralityDirection::kTotal);
+namespace {
 
-  auto centrality_of = [&](rdf::TermId cls) {
-    auto it = centrality.find(cls);
-    return it == centrality.end() ? 0.0 : it->second;
-  };
-
-  std::unordered_map<rdf::TermId, double> relevance;
-  for (rdf::TermId cls : view.classes()) {
-    double acc = centrality_of(cls);
-    for (rdf::TermId neighbor : view.Neighborhood(cls)) {
-      const size_t neighbor_degree = view.Neighborhood(neighbor).size();
-      acc += centrality_of(neighbor) /
-             (1.0 + static_cast<double>(neighbor_degree));
+/// Rel over the view's classes from the dense total centrality
+/// (aligned to view.classes()); neighborhoods come from the view's
+/// memoised NeighborhoodLists().
+std::vector<double> RelevanceFromCentrality(
+    const schema::SchemaView& view, const std::vector<double>& centrality) {
+  const std::vector<rdf::TermId>& classes = view.classes();
+  const std::vector<std::vector<rdf::TermId>>& neighborhoods =
+      view.NeighborhoodLists();
+  std::vector<double> relevance(classes.size(), 0.0);
+  for (size_t i = 0; i < classes.size(); ++i) {
+    double acc = centrality[i];
+    for (rdf::TermId neighbor : neighborhoods[i]) {
+      // Neighborhoods only hold classes of the view.
+      const size_t j = rdf::SortedIndexOf(classes, neighbor);
+      acc += centrality[j] /
+             (1.0 + static_cast<double>(neighborhoods[j].size()));
     }
     const double data_factor =
-        std::log2(2.0 + static_cast<double>(view.InstanceCount(cls)));
-    relevance[cls] = acc * data_factor;
+        std::log2(2.0 + static_cast<double>(view.InstanceCount(classes[i])));
+    relevance[i] = acc * data_factor;
+  }
+  return relevance;
+}
+
+}  // namespace
+
+ClassKernels ComputeClassKernels(const schema::SchemaView& view) {
+  const std::vector<rdf::TermId>& classes = view.classes();
+  const std::vector<rdf::TermId>& properties = view.properties();
+  const std::vector<size_t> property_totals = PropertyInstanceTotals(view);
+  ClassKernels kernels;
+  kernels.in_centrality.assign(classes.size(), 0.0);
+  kernels.out_centrality.assign(classes.size(), 0.0);
+  kernels.total_centrality.assign(classes.size(), 0.0);
+  for (const schema::PropertyConnection& conn : view.connections()) {
+    const size_t p = rdf::SortedIndexOf(properties, conn.property);
+    const double contribution = ConnectionContribution(
+        view, conn, p == rdf::kNotInUniverse ? 0 : property_totals[p]);
+    if (contribution <= 0.0) continue;
+    // Outgoing for the subject class, incoming for the object class
+    // (connection classes are always classes of the view).
+    const size_t from = rdf::SortedIndexOf(classes, conn.classes.from);
+    const size_t to = rdf::SortedIndexOf(classes, conn.classes.to);
+    kernels.out_centrality[from] += contribution;
+    kernels.total_centrality[from] += contribution;
+    kernels.in_centrality[to] += contribution;
+    kernels.total_centrality[to] += contribution;
+  }
+  kernels.relevance = RelevanceFromCentrality(view, kernels.total_centrality);
+  return kernels;
+}
+
+std::unordered_map<rdf::TermId, double> ComputeRelevance(
+    const schema::SchemaView& view) {
+  const std::vector<double> dense = ComputeClassKernels(view).relevance;
+  const std::vector<rdf::TermId>& classes = view.classes();
+  std::unordered_map<rdf::TermId, double> relevance;
+  relevance.reserve(classes.size());
+  for (size_t i = 0; i < classes.size(); ++i) {
+    relevance[classes[i]] = dense[i];
   }
   return relevance;
 }
@@ -42,17 +83,16 @@ RelevanceShiftMeasure::RelevanceShiftMeasure() {
 
 Result<MeasureReport> RelevanceShiftMeasure::Compute(
     const EvolutionContext& ctx) const {
-  const auto before = ComputeRelevance(ctx.view_before());
-  const auto after = ComputeRelevance(ctx.view_after());
-  MeasureReport report;
-  for (rdf::TermId cls : ctx.union_classes()) {
-    auto b = before.find(cls);
-    auto a = after.find(cls);
-    const double vb = b == before.end() ? 0.0 : b->second;
-    const double va = a == after.end() ? 0.0 : a->second;
-    report.Add(cls, std::abs(va - vb));
+  const std::vector<rdf::TermId>& classes = ctx.union_classes();
+  const std::vector<double> before = ScatterToUnion(
+      ctx.view_before().classes(), ctx.kernels_before().relevance, classes);
+  const std::vector<double> after = ScatterToUnion(
+      ctx.view_after().classes(), ctx.kernels_after().relevance, classes);
+  std::vector<ScoredTerm> scores(classes.size());
+  for (size_t i = 0; i < classes.size(); ++i) {
+    scores[i] = {classes[i], std::abs(after[i] - before[i])};
   }
-  return report;
+  return MeasureReport(std::move(scores));
 }
 
 }  // namespace evorec::measures

@@ -18,11 +18,14 @@ namespace evorec::measures {
 /// class neighborhood. The first factor says a class matters more when
 /// it and its neighbors are central (each neighbor's contribution is
 /// split among that neighbor's own neighbors); the second factor says
-/// classes with more actual data instances matter more.
+/// classes with more actual data instances matter more. A map view of
+/// ComputeClassKernels (the measure reads the per-version kernel cell).
 std::unordered_map<rdf::TermId, double> ComputeRelevance(
     const schema::SchemaView& view);
 
 /// Importance-shift measure on Relevance: |Rel_{V2}(n) − Rel_{V1}(n)|.
+/// Reads both versions' kernel cells; only the union scatter runs per
+/// pair.
 class RelevanceShiftMeasure final : public EvolutionMeasure {
  public:
   RelevanceShiftMeasure();

@@ -1,213 +1,234 @@
 #include "schema/schema_view.h"
 
 #include <algorithm>
+#include <array>
+#include <tuple>
 
 namespace evorec::schema {
 
 namespace {
 
-void SortedInsert(std::vector<rdf::TermId>& v, rdf::TermId id) {
-  auto it = std::lower_bound(v.begin(), v.end(), id);
-  if (it == v.end() || *it != id) v.insert(it, id);
+using IdPair = std::pair<rdf::TermId, rdf::TermId>;
+using RowPair = std::pair<uint32_t, rdf::TermId>;
+
+constexpr uint32_t kNoRow = UINT32_MAX;
+
+/// Dense id → row scratch for the sorted ids in `sorted`, over ids
+/// below `bound`.
+std::vector<uint32_t> RowsOf(const std::vector<rdf::TermId>& sorted,
+                             size_t bound) {
+  std::vector<uint32_t> rows(bound, kNoRow);
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    rows[sorted[i]] = static_cast<uint32_t>(i);
+  }
+  return rows;
+}
+
+std::vector<rdf::TermId> ToVector(std::span<const rdf::TermId> row) {
+  return {row.begin(), row.end()};
 }
 
 }  // namespace
 
 SchemaView SchemaView::Build(const rdf::KnowledgeBase& kb) {
-  SchemaView view;
   const rdf::Vocabulary& voc = kb.vocabulary();
-  const rdf::TripleStore& store = kb.store();
 
-  auto note_class = [&](rdf::TermId id) {
-    if (view.class_set_.insert(id).second) {
-      view.hierarchy_.Touch(id);
-    }
-  };
-  auto note_property = [&](rdf::TermId id) { view.property_set_.insert(id); };
-
-  // All three passes stream the store in SPO order via full merged
-  // scans instead of store.triples(): on a segmented snapshot that
-  // avoids materialising a whole-store flat copy (the emission order
-  // is identical, so the built view is too).
-
-  // Pass 1: schema-level triples establish classes and properties.
-  store.ScanT(rdf::TriplePattern{}, [&](const rdf::Triple& t) {
+  // One merged SPO scan (a segmented snapshot is never flattened) sorts
+  // the triples the view needs into flat lists. Class and property
+  // membership depend on the whole store, so everything derived from
+  // them is resolved after the scan.
+  std::vector<IdPair> typings;         // (s rdf:type o)
+  std::vector<IdPair> subclass_edges;  // (s rdfs:subClassOf o)
+  std::vector<IdPair> domain_pairs;    // (s rdfs:domain o)
+  std::vector<IdPair> range_pairs;     // (s rdfs:range o)
+  std::vector<rdf::Triple> instance_edges;  // non-schema predicates
+  rdf::TermId max_id = 0;
+  kb.store().ScanT(rdf::TriplePattern{}, [&](const rdf::Triple& t) {
+    max_id = std::max({max_id, t.subject, t.predicate, t.object});
     if (t.predicate == voc.rdf_type) {
-      if (t.object == voc.rdfs_class || t.object == voc.owl_class) {
-        note_class(t.subject);
-      } else if (t.object == voc.rdf_property) {
-        note_property(t.subject);
-      } else {
-        // Instance typing: the object is being used as a class.
-        note_class(t.object);
-      }
+      typings.emplace_back(t.subject, t.object);
     } else if (t.predicate == voc.rdfs_subclass_of) {
-      note_class(t.subject);
-      note_class(t.object);
-      view.hierarchy_.AddEdge(t.subject, t.object);
+      subclass_edges.emplace_back(t.subject, t.object);
     } else if (t.predicate == voc.rdfs_domain) {
-      note_property(t.subject);
-      note_class(t.object);
-      view.domains_[t.subject].push_back(t.object);
+      domain_pairs.emplace_back(t.subject, t.object);
     } else if (t.predicate == voc.rdfs_range) {
-      note_property(t.subject);
-      // Ranges may be datatypes (literals' types); only IRI-classes
-      // participate in the class graph, but we record all.
-      view.ranges_[t.subject].push_back(t.object);
-      note_class(t.object);
+      range_pairs.emplace_back(t.subject, t.object);
+    } else if (!voc.IsSchemaPredicate(t.predicate)) {
+      instance_edges.push_back(t);
     }
     return true;
   });
 
-  // Pass 2: instance typing and property usage.
-  store.ScanT(rdf::TriplePattern{}, [&](const rdf::Triple& t) {
-    if (t.predicate == voc.rdf_type) {
-      if (view.class_set_.count(t.object) &&
-          !view.class_set_.count(t.subject)) {
-        view.instances_[t.object].push_back(t.subject);
-        view.instance_type_.emplace(t.subject, t.object);
+  // Id-indexed scratch is transient and sized from the ids the scan
+  // saw — never from the shared, growing dictionary.
+  const size_t bound = static_cast<size_t>(max_id) + 1;
+  enum : uint8_t { kClass = 1, kProperty = 2 };
+  std::vector<uint8_t> role(bound, 0);
+  for (const auto& [s, o] : typings) {
+    if (o == voc.rdfs_class || o == voc.owl_class) {
+      role[s] |= kClass;
+    } else if (o == voc.rdf_property) {
+      role[s] |= kProperty;
+    } else {
+      role[o] |= kClass;  // instance typing: the object is a class
+    }
+  }
+  for (const auto& [s, o] : subclass_edges) {
+    role[s] |= kClass;
+    role[o] |= kClass;
+  }
+  // Ranges may be datatypes; they are recorded as classes all the same.
+  for (const auto* pairs : {&domain_pairs, &range_pairs}) {
+    for (const auto& [s, o] : *pairs) {
+      role[s] |= kProperty;
+      role[o] |= kClass;
+    }
+  }
+  for (const rdf::Triple& t : instance_edges) role[t.predicate] |= kProperty;
+
+  SchemaView view;
+  for (size_t id = 0; id < bound; ++id) {
+    if (role[id] & kClass) view.classes_.push_back(static_cast<rdf::TermId>(id));
+    if (role[id] & kProperty) {
+      view.properties_.push_back(static_cast<rdf::TermId>(id));
+    }
+  }
+  const std::vector<uint32_t> class_row = RowsOf(view.classes_, bound);
+  const std::vector<uint32_t> property_row = RowsOf(view.properties_, bound);
+  const size_t class_count = view.classes_.size();
+
+  view.hierarchy_ =
+      ClassHierarchy::FromEdges(std::move(subclass_edges), view.classes_);
+
+  // A typing makes its subject an instance when the object is a class
+  // and the subject is not. TypeOf is the first such type in SPO order.
+  std::vector<rdf::TermId> type_of(bound, rdf::kAnyTerm);
+  std::vector<RowPair> instance_rows;
+  instance_rows.reserve(typings.size());
+  for (const auto& [s, o] : typings) {
+    if (!(role[o] & kClass) || (role[s] & kClass)) continue;
+    instance_rows.emplace_back(class_row[o], s);
+    if (type_of[s] == rdf::kAnyTerm) {
+      type_of[s] = o;
+      view.instance_types_.emplace_back(s, o);
+    }
+  }
+  view.instances_ = RowRuns::FromPairs(class_count, instance_rows);
+
+  // Instance-level connection statistics per (property, subject class,
+  // object class), counted by sorting row keys.
+  std::vector<std::array<uint32_t, 3>> keys;
+  keys.reserve(instance_edges.size());
+  view.total_connections_.assign(class_count, 0);
+  for (const rdf::Triple& t : instance_edges) {
+    const rdf::TermId from = type_of[t.subject];
+    const rdf::TermId to = type_of[t.object];
+    if (from == rdf::kAnyTerm || to == rdf::kAnyTerm) continue;
+    const uint32_t a = class_row[from];
+    const uint32_t b = class_row[to];
+    keys.push_back({property_row[t.predicate], a, b});
+    ++view.total_connections_[a];
+    if (a != b) ++view.total_connections_[b];
+  }
+  std::sort(keys.begin(), keys.end());
+  std::vector<RowPair> adjacent;
+  for (size_t i = 0; i < keys.size();) {
+    size_t j = i + 1;
+    while (j < keys.size() && keys[j] == keys[i]) ++j;
+    const auto [p, a, b] = keys[i];
+    view.connections_.push_back(PropertyConnection{
+        view.properties_[p], ClassPair{view.classes_[a], view.classes_[b]},
+        j - i});
+    if (a != b) {
+      adjacent.emplace_back(a, view.classes_[b]);
+      adjacent.emplace_back(b, view.classes_[a]);
+    }
+    i = j;
+  }
+
+  // Declared domains/ranges: per-property runs, class→property
+  // incidence, and class adjacency for every domain × range pair.
+  std::vector<RowPair> domain_rows, range_rows, touching;
+  for (const auto& [p, d] : domain_pairs) {
+    domain_rows.emplace_back(property_row[p], d);
+    touching.emplace_back(class_row[d], p);
+  }
+  for (const auto& [p, r] : range_pairs) {
+    range_rows.emplace_back(property_row[p], r);
+    touching.emplace_back(class_row[r], p);
+  }
+  view.domains_ = RowRuns::FromPairs(view.properties_.size(), domain_rows);
+  view.ranges_ = RowRuns::FromPairs(view.properties_.size(), range_rows);
+  for (size_t p = 0; p < view.properties_.size(); ++p) {
+    for (rdf::TermId d : view.domains_.Row(p)) {
+      for (rdf::TermId r : view.ranges_.Row(p)) {
+        if (d == r) continue;
+        adjacent.emplace_back(class_row[d], r);
+        adjacent.emplace_back(class_row[r], d);
       }
-      return true;
-    }
-    if (voc.IsSchemaPredicate(t.predicate)) return true;
-    // A non-schema predicate used between resources is a property.
-    note_property(t.predicate);
-    return true;
-  });
-
-  // Pass 3: instance-level connection statistics per
-  // (property, subject-class, object-class).
-  std::unordered_map<rdf::TermId,
-                     std::unordered_map<uint64_t, PropertyConnection>>
-      conn_acc;
-  store.ScanT(rdf::TriplePattern{}, [&](const rdf::Triple& t) {
-    if (voc.IsSchemaPredicate(t.predicate)) return true;
-    if (!view.property_set_.count(t.predicate)) return true;
-    auto ts = view.instance_type_.find(t.subject);
-    auto to = view.instance_type_.find(t.object);
-    if (ts == view.instance_type_.end() || to == view.instance_type_.end()) {
-      return true;
-    }
-    const ClassPair pair{ts->second, to->second};
-    const uint64_t pair_key =
-        (static_cast<uint64_t>(pair.from) << 32) | pair.to;
-    auto& slot = conn_acc[t.predicate][pair_key];
-    if (slot.instance_count == 0) {
-      slot.property = t.predicate;
-      slot.classes = pair;
-    }
-    ++slot.instance_count;
-    ++view.total_connections_[pair.from];
-    if (pair.to != pair.from) {
-      ++view.total_connections_[pair.to];
-    }
-    view.property_adjacent_[pair.from].insert(pair.to);
-    view.property_adjacent_[pair.to].insert(pair.from);
-    return true;
-  });
-  for (auto& [prop, by_pair] : conn_acc) {
-    (void)prop;
-    for (auto& [key, conn] : by_pair) {
-      (void)key;
-      view.connections_.push_back(conn);
     }
   }
-  std::sort(view.connections_.begin(), view.connections_.end(),
-            [](const PropertyConnection& a, const PropertyConnection& b) {
-              if (a.property != b.property) return a.property < b.property;
-              if (a.classes.from != b.classes.from) {
-                return a.classes.from < b.classes.from;
-              }
-              return a.classes.to < b.classes.to;
-            });
-
-  // Domain/range declarations also induce class adjacency and
-  // class→property incidence.
-  for (const auto& [prop, domain_list] : view.domains_) {
-    auto range_it = view.ranges_.find(prop);
-    for (rdf::TermId d : domain_list) {
-      view.properties_touching_[d].push_back(prop);
-      if (range_it != view.ranges_.end()) {
-        for (rdf::TermId r : range_it->second) {
-          if (d == r) continue;
-          view.property_adjacent_[d].insert(r);
-          view.property_adjacent_[r].insert(d);
-        }
-      }
-    }
-  }
-  for (const auto& [prop, range_list] : view.ranges_) {
-    for (rdf::TermId r : range_list) {
-      view.properties_touching_[r].push_back(prop);
-    }
-  }
-
-  view.classes_.assign(view.class_set_.begin(), view.class_set_.end());
-  std::sort(view.classes_.begin(), view.classes_.end());
-  view.properties_.assign(view.property_set_.begin(),
-                          view.property_set_.end());
-  std::sort(view.properties_.begin(), view.properties_.end());
-  for (auto& [cls, props] : view.properties_touching_) {
-    (void)cls;
-    std::sort(props.begin(), props.end());
-    props.erase(std::unique(props.begin(), props.end()), props.end());
-  }
+  view.property_adjacent_ = RowRuns::FromPairs(class_count, adjacent);
+  view.property_adjacent_.SortAndDedupRows();
+  view.properties_touching_ = RowRuns::FromPairs(class_count, touching);
+  view.properties_touching_.SortAndDedupRows();
   return view;
 }
 
 std::vector<rdf::TermId> SchemaView::DomainsOf(rdf::TermId property) const {
-  auto it = domains_.find(property);
-  if (it == domains_.end()) return {};
-  return it->second;
+  return ToVector(domains_.Row(rdf::SortedIndexOf(properties_, property)));
 }
 
 std::vector<rdf::TermId> SchemaView::RangesOf(rdf::TermId property) const {
-  auto it = ranges_.find(property);
-  if (it == ranges_.end()) return {};
-  return it->second;
+  return ToVector(ranges_.Row(rdf::SortedIndexOf(properties_, property)));
 }
 
 size_t SchemaView::InstanceCount(rdf::TermId cls) const {
-  auto it = instances_.find(cls);
-  return it == instances_.end() ? 0 : it->second.size();
+  return instances_.Row(rdf::SortedIndexOf(classes_, cls)).size();
 }
 
 std::vector<rdf::TermId> SchemaView::InstancesOf(rdf::TermId cls) const {
-  auto it = instances_.find(cls);
-  if (it == instances_.end()) return {};
-  return it->second;
+  return ToVector(instances_.Row(rdf::SortedIndexOf(classes_, cls)));
 }
 
 rdf::TermId SchemaView::TypeOf(rdf::TermId instance) const {
-  auto it = instance_type_.find(instance);
-  return it == instance_type_.end() ? rdf::kAnyTerm : it->second;
+  auto it = std::lower_bound(
+      instance_types_.begin(), instance_types_.end(), instance,
+      [](const auto& entry, rdf::TermId id) { return entry.first < id; });
+  if (it == instance_types_.end() || it->first != instance) {
+    return rdf::kAnyTerm;
+  }
+  return it->second;
 }
 
 size_t SchemaView::ConnectionCount(rdf::TermId property, rdf::TermId from,
                                    rdf::TermId to) const {
-  for (const PropertyConnection& c : connections_) {
-    if (c.property == property && c.classes.from == from &&
-        c.classes.to == to) {
-      return c.instance_count;
-    }
-  }
-  return 0;
+  const auto key = std::make_tuple(property, from, to);
+  const auto key_of = [](const PropertyConnection& c) {
+    return std::make_tuple(c.property, c.classes.from, c.classes.to);
+  };
+  auto it = std::lower_bound(
+      connections_.begin(), connections_.end(), key,
+      [&](const PropertyConnection& c, const auto& k) { return key_of(c) < k; });
+  if (it == connections_.end() || key_of(*it) != key) return 0;
+  return it->instance_count;
 }
 
 size_t SchemaView::TotalConnectionsOf(rdf::TermId cls) const {
-  auto it = total_connections_.find(cls);
-  return it == total_connections_.end() ? 0 : it->second;
+  const size_t i = rdf::SortedIndexOf(classes_, cls);
+  return i == rdf::kNotInUniverse ? 0 : total_connections_[i];
 }
 
 std::vector<rdf::TermId> SchemaView::Neighborhood(rdf::TermId n) const {
   std::vector<rdf::TermId> out;
-  for (rdf::TermId parent : hierarchy_.Parents(n)) SortedInsert(out, parent);
-  for (rdf::TermId child : hierarchy_.Children(n)) SortedInsert(out, child);
-  auto it = property_adjacent_.find(n);
-  if (it != property_adjacent_.end()) {
-    for (rdf::TermId other : it->second) SortedInsert(out, other);
+  for (std::span<const rdf::TermId> part :
+       {hierarchy_.Parents(n), hierarchy_.Children(n),
+        property_adjacent_.Row(rdf::SortedIndexOf(classes_, n))}) {
+    out.insert(out.end(), part.begin(), part.end());
   }
-  out.erase(std::remove(out.begin(), out.end(), n), out.end());
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  std::erase(out, n);
   return out;
 }
 
@@ -224,18 +245,11 @@ const std::vector<std::vector<rdf::TermId>>& SchemaView::NeighborhoodLists()
 }
 
 std::vector<rdf::TermId> SchemaView::PropertyNeighbors(rdf::TermId n) const {
-  auto it = property_adjacent_.find(n);
-  if (it == property_adjacent_.end()) return {};
-  std::vector<rdf::TermId> out(it->second.begin(), it->second.end());
-  std::sort(out.begin(), out.end());
-  out.erase(std::remove(out.begin(), out.end(), n), out.end());
-  return out;
+  return ToVector(property_adjacent_.Row(rdf::SortedIndexOf(classes_, n)));
 }
 
 std::vector<rdf::TermId> SchemaView::PropertiesTouching(rdf::TermId n) const {
-  auto it = properties_touching_.find(n);
-  if (it == properties_touching_.end()) return {};
-  return it->second;
+  return ToVector(properties_touching_.Row(rdf::SortedIndexOf(classes_, n)));
 }
 
 }  // namespace evorec::schema

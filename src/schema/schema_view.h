@@ -4,12 +4,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "common/hash.h"
 #include "rdf/knowledge_base.h"
 #include "schema/hierarchy.h"
 
@@ -21,15 +18,6 @@ struct ClassPair {
   rdf::TermId from = rdf::kAnyTerm;
   rdf::TermId to = rdf::kAnyTerm;
   friend bool operator==(const ClassPair&, const ClassPair&) = default;
-};
-
-struct ClassPairHash {
-  size_t operator()(const ClassPair& p) const {
-    size_t seed = 0;
-    HashCombine(seed, p.from);
-    HashCombine(seed, p.to);
-    return seed;
-  }
 };
 
 /// Connection statistics of one property between one class pair —
@@ -52,9 +40,12 @@ struct PropertyConnection {
 ///   - class neighborhoods N(n) (subsumption- or property-adjacent,
 ///     paper §II.b).
 ///
-/// Construction is a single pass over the snapshot (plus sorted-index
-/// scans); the view holds no reference to the KB afterwards except the
-/// shared dictionary ids.
+/// Construction is one merged SPO scan of the snapshot into flat
+/// tables: sorted id vectors plus per-class and per-property RowRuns
+/// (compressed sparse rows), no hash containers. Id-indexed scratch
+/// during the build is transient and sized from the largest id the
+/// scan sees, never from the shared (growing) dictionary. The view
+/// holds no reference to the KB afterwards except the dictionary ids.
 class SchemaView {
  public:
   /// Extracts the view from `kb`.
@@ -68,11 +59,13 @@ class SchemaView {
   const std::vector<rdf::TermId>& properties() const { return properties_; }
 
   /// True iff `id` is in classes().
-  bool IsClass(rdf::TermId id) const { return class_set_.count(id) > 0; }
+  bool IsClass(rdf::TermId id) const {
+    return rdf::SortedIndexOf(classes_, id) != rdf::kNotInUniverse;
+  }
 
   /// True iff `id` is in properties().
   bool IsProperty(rdf::TermId id) const {
-    return property_set_.count(id) > 0;
+    return rdf::SortedIndexOf(properties_, id) != rdf::kNotInUniverse;
   }
 
   /// The subsumption hierarchy.
@@ -123,8 +116,9 @@ class SchemaView {
   /// extraction exactly once instead of once per pair.
   const std::vector<std::vector<rdf::TermId>>& NeighborhoodLists() const;
 
-  /// Classes adjacent to `n` via property domain/range declarations
-  /// only.
+  /// Classes adjacent to `n` through a property: a declared
+  /// domain/range pair or an observed instance connection. Sorted,
+  /// excludes `n`.
   std::vector<rdf::TermId> PropertyNeighbors(rdf::TermId n) const;
 
   /// Properties whose declared domain or range is `n`.
@@ -132,22 +126,19 @@ class SchemaView {
 
  private:
   std::vector<rdf::TermId> classes_;
-  std::unordered_set<rdf::TermId> class_set_;
   std::vector<rdf::TermId> properties_;
-  std::unordered_set<rdf::TermId> property_set_;
   ClassHierarchy hierarchy_;
-  std::unordered_map<rdf::TermId, std::vector<rdf::TermId>> domains_;
-  std::unordered_map<rdf::TermId, std::vector<rdf::TermId>> ranges_;
-  std::unordered_map<rdf::TermId, std::vector<rdf::TermId>> instances_;
-  std::unordered_map<rdf::TermId, rdf::TermId> instance_type_;
+  // Rows aligned to properties_.
+  RowRuns domains_;
+  RowRuns ranges_;
+  // Rows aligned to classes_.
+  RowRuns instances_;
+  RowRuns property_adjacent_;  // sorted, excludes the class itself
+  RowRuns properties_touching_;
+  std::vector<size_t> total_connections_;
+  // (instance, first type), sorted by instance.
+  std::vector<std::pair<rdf::TermId, rdf::TermId>> instance_types_;
   std::vector<PropertyConnection> connections_;
-  std::unordered_map<rdf::TermId, size_t> total_connections_;
-  // Property-adjacency between classes derived from domain/range pairs
-  // and observed instance connections.
-  std::unordered_map<rdf::TermId, std::unordered_set<rdf::TermId>>
-      property_adjacent_;
-  std::unordered_map<rdf::TermId, std::vector<rdf::TermId>>
-      properties_touching_;
   // Lazily filled per-class neighborhood memo, shared between copies.
   struct NeighborhoodMemo {
     std::once_flag once;

@@ -99,6 +99,12 @@ void VersionedKnowledgeBase::DetachCommitLog() { log_ = nullptr; }
 
 namespace {
 
+std::vector<rdf::Triple> SortedUnique(std::vector<rdf::Triple> triples) {
+  std::sort(triples.begin(), triples.end());
+  triples.erase(std::unique(triples.begin(), triples.end()), triples.end());
+  return triples;
+}
+
 rdf::KnowledgeBase ApplyChanges(rdf::KnowledgeBase base,
                                 const ChangeSet& changes) {
   base.store().AddAll(changes.additions);
@@ -108,6 +114,23 @@ rdf::KnowledgeBase ApplyChanges(rdf::KnowledgeBase base,
 }
 
 }  // namespace
+
+ChangeSet NetChanges(const rdf::KnowledgeBase& base, const ChangeSet& changes) {
+  const std::vector<rdf::Triple> additions = SortedUnique(changes.additions);
+  const std::vector<rdf::Triple> removals = SortedUnique(changes.removals);
+  ChangeSet net;
+  // Removals are applied after additions, so a triple in both lists
+  // nets to absent: it is never an addition, and it is a removal
+  // exactly when `base` held it.
+  for (const rdf::Triple& t : additions) {
+    if (std::binary_search(removals.begin(), removals.end(), t)) continue;
+    if (!base.store().Contains(t)) net.additions.push_back(t);
+  }
+  for (const rdf::Triple& t : removals) {
+    if (base.store().Contains(t)) net.removals.push_back(t);
+  }
+  return net;
+}
 
 Result<VersionId> VersionedKnowledgeBase::Commit(const ChangeSet& changes,
                                                  std::string author,
@@ -153,6 +176,7 @@ Result<VersionId> VersionedKnowledgeBase::Commit(ChangeSet&& changes,
   switch (policy_) {
     case ArchivePolicy::kFullMaterialization:
       stores_.push_back(ApplyChanges(stores_.back(), changes));
+      change_sets_.push_back(std::move(changes));
       break;
     case ArchivePolicy::kDeltaChain:
       change_sets_.push_back(std::move(changes));
@@ -207,17 +231,12 @@ Result<ChangeSet> VersionedKnowledgeBase::Changes(VersionId v) const {
   if (v == 0) {
     return FailedPreconditionError("version 0 has no change set");
   }
-  if (policy_ != ArchivePolicy::kFullMaterialization) {
-    return change_sets_[v];
+  if (policy_ == ArchivePolicy::kFullMaterialization) {
+    // The archived set as committed, reduced to its net effect — the
+    // diff of the adjacent stores, by membership probes.
+    return NetChanges(stores_[v - 1], change_sets_[v]);
   }
-  // Full materialisation: derive the change set from adjacent
-  // snapshots.
-  ChangeSet cs;
-  cs.additions =
-      rdf::TripleStore::Difference(stores_[v].store(), stores_[v - 1].store());
-  cs.removals =
-      rdf::TripleStore::Difference(stores_[v - 1].store(), stores_[v].store());
-  return cs;
+  return change_sets_[v];
 }
 
 Result<rdf::KnowledgeBase> VersionedKnowledgeBase::MaterializeUncached(

@@ -37,6 +37,14 @@ struct SnapshotHandle {
   }
 };
 
+/// The net effect of applying `changes` on top of `base`, with
+/// ChangeSet semantics (removals win over additions of the same
+/// triple): additions that are neither removed nor already present,
+/// removals that were present — both SPO-sorted and deduplicated.
+/// Equal to the store diff between `base` and the version `changes`
+/// produce, at O(|changes| · log T) membership probes.
+ChangeSet NetChanges(const rdf::KnowledgeBase& base, const ChangeSet& changes);
+
 /// A linear-history versioned knowledge base. All versions share one
 /// term dictionary so TermIds are stable across versions — the
 /// invariant every evolution measure depends on.
@@ -111,8 +119,10 @@ class VersionedKnowledgeBase {
   /// Commit metadata for `v`.
   Result<VersionInfo> Info(VersionId v) const;
 
-  /// The change set that produced `v` from `v-1`. Version 0 has no
-  /// change set.
+  /// The change set that produced `v` from `v-1`, from the archive —
+  /// never a store diff. Version 0 has no change set. Under
+  /// kFullMaterialization it is reduced to its NetChanges (equal to
+  /// the diff of the two stores).
   Result<ChangeSet> Changes(VersionId v) const;
 
   /// Materialised snapshot of version `v` (cached; the reference stays
@@ -178,7 +188,9 @@ class VersionedKnowledgeBase {
   std::vector<uint64_t> fingerprints_;
   // Memoized per-term content hashes (0 = not yet computed).
   std::vector<uint64_t> term_hashes_;
-  // kFullMaterialization: stores_[v] is version v.
+  // kFullMaterialization: stores_[v] is version v; change_sets_[v] is
+  // the set that produced it, as committed (so Changes() never diffs
+  // stores).
   // kDeltaChain / kHybridCheckpoint: stores_[0] is the base; later
   // versions live in change_sets_ (and, for hybrid, checkpoints_).
   std::vector<rdf::KnowledgeBase> stores_;

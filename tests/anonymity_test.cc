@@ -204,6 +204,34 @@ TEST(AccessPolicyTest, FilterReportRedacts) {
       policy.FilterReport("ann", report, &redacted);
   EXPECT_EQ(full.size(), 3u);
   EXPECT_EQ(redacted, 0u);
+
+  // A GrantAll agent sees every sensitive term.
+  policy.MarkSensitive(3);
+  policy.GrantAll("dpo");
+  const measures::MeasureReport all =
+      policy.FilterReport("dpo", report, &redacted);
+  EXPECT_EQ(all.size(), 3u);
+  EXPECT_EQ(redacted, 0u);
+
+  // A partial grant shows exactly the granted sensitive terms, in
+  // report order, and agrees with CheckAccess term by term.
+  const measures::MeasureReport partial =
+      policy.FilterReport("ann", report, &redacted);
+  EXPECT_EQ(redacted, 1u);
+  ASSERT_EQ(partial.size(), 2u);
+  EXPECT_EQ(partial.scores()[0].term, 1u);
+  EXPECT_EQ(partial.scores()[1].term, 2u);
+  EXPECT_DOUBLE_EQ(partial.ScoreOf(2), 5.0);
+  for (const measures::ScoredTerm& s : report.scores()) {
+    for (const char* agent : {"ann", "bob", "dpo"}) {
+      const bool kept =
+          policy.FilterReport(agent, report).ScoreOf(s.term) == s.score;
+      EXPECT_EQ(kept, policy.CheckAccess(agent, s.term).ok())
+          << agent << " term " << s.term;
+    }
+  }
+  EXPECT_EQ(policy.CheckAccess("bob", 3).code(),
+            StatusCode::kPermissionDenied);
 }
 
 }  // namespace

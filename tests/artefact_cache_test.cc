@@ -1,10 +1,10 @@
 // Version-level artefact cache: the counter-verified reuse contract of
 // the cold path. Walking a K-version chain through the engine must
-// build each version's snapshot, schema view, schema graph and
-// betweenness exactly once (the pair-keyed path performed 2·(K−1)
-// builds), while producing reports bit-identical to the classic
-// per-pair path. Plus a concurrency stress over one shared cache
-// (exercised by the TSan CI job).
+// build each version's snapshot, schema view, schema graph, class
+// kernels and betweenness exactly once (the pair-keyed path performed
+// 2·(K−1) builds), while producing reports bit-identical to the
+// classic per-pair path. Plus concurrency stresses over one shared
+// cache (exercised by the TSan CI job).
 
 #include "engine/artefact_cache.h"
 
@@ -18,6 +18,8 @@
 #include <vector>
 
 #include "engine/evaluation_engine.h"
+#include "measures/evaluation.h"
+#include "measures/relevance.h"
 #include "measures/structural_shift.h"
 #include "measures/timeline.h"
 #include "workload/scenarios.h"
@@ -82,6 +84,44 @@ TEST(ArtefactCacheChainWalkTest, ChainWalkBuildsEachVersionOnce) {
     ExpectIdenticalReports(classic->report(t), timeline->report(t),
                            "transition " + std::to_string(t));
   }
+}
+
+// The per-version class kernels (centrality and relevance) follow the
+// same contract: K builds for a K-version walk, whatever the number of
+// semantic measures read them, then exactly one for a commit refresh.
+TEST(ArtefactCacheChainWalkTest, ClassKernelsBuildOncePerVersion) {
+  constexpr size_t kTransitions = 4;
+  const size_t kVersions = kTransitions + 1;
+  workload::Scenario scenario = ChainScenario(kTransitions);
+  measures::MeasureRegistry registry = measures::DefaultRegistry();
+  EvaluationEngine engine(registry, {.context_cache_capacity = 16,
+                                     .threads = 2});
+  auto relevance = engine.Timeline(*scenario.vkb, "relevance_shift");
+  ASSERT_TRUE(relevance.ok());
+  EXPECT_EQ(engine.artefact_stats().kernel_builds, kVersions);
+  for (const char* name : {"in_centrality_shift", "out_centrality_shift"}) {
+    ASSERT_TRUE(engine.Timeline(*scenario.vkb, name).ok());
+  }
+  EXPECT_EQ(engine.artefact_stats().kernel_builds, kVersions);
+
+  measures::RelevanceShiftMeasure measure;
+  auto classic = measures::EvolutionTimeline::Compute(*scenario.vkb, measure);
+  ASSERT_TRUE(classic.ok());
+  for (size_t t = 0; t < kTransitions; ++t) {
+    ExpectIdenticalReports(classic->report(t), relevance->report(t),
+                           "transition " + std::to_string(t));
+  }
+
+  // A commit refresh computes the kernels of the new head alone.
+  const auto head = (*scenario.vkb->Snapshot(scenario.vkb->head()))
+                        ->store()
+                        .Match(rdf::TriplePattern{});
+  ASSERT_FALSE(head.empty());
+  auto refreshed = engine.CommitAndRefresh(
+      *scenario.vkb, version::ChangeSet{{}, {head.front()}}, "a", "commit", 0);
+  ASSERT_TRUE(refreshed.ok());
+  ASSERT_TRUE(refreshed->evaluation->AllReports().ok());
+  EXPECT_EQ(engine.artefact_stats().kernel_builds, kVersions + 1);
 }
 
 TEST(ArtefactCacheChainWalkTest, AdjacentPairsShareTheMiddleVersion) {
@@ -286,6 +326,93 @@ TEST(ArtefactCacheConcurrencyTest, ConcurrentContextBuildsShareOneCache) {
   EXPECT_EQ(stats.misses, versions);
   EXPECT_EQ(stats.hits + stats.coalesced,
             kThreads * kIterations * 2 - versions);
+}
+
+// Race: threads run every measure (EvaluateAll) over contexts assembled
+// from the shared bundles of ONE cache — shared views, neighborhood
+// memos, kernel cells and betweenness cells. Every report must equal
+// the serial cache-free reference bit for bit, and each version's
+// kernels must be built once. Exercised under TSan in CI.
+TEST(ArtefactCacheConcurrencyTest, ConcurrentEvaluateAllSharesKernelCells) {
+  constexpr size_t kTransitions = 3;
+  constexpr size_t kThreads = 6;
+  constexpr size_t kIterations = 6;
+  workload::Scenario scenario = ChainScenario(kTransitions, 31);
+  const size_t versions = scenario.vkb->version_count();
+  const measures::MeasureRegistry registry = measures::DefaultRegistry();
+
+  std::vector<uint64_t> fingerprints;
+  std::vector<std::vector<measures::MeasureReport>> reference;
+  for (size_t v = 0; v < versions; ++v) {
+    auto handle = scenario.vkb->Handle(static_cast<version::VersionId>(v));
+    ASSERT_TRUE(handle.ok());
+    fingerprints.push_back(handle->fingerprint);
+    if (v + 1 == versions) break;
+    auto ctx = measures::EvolutionContext::FromVersions(
+        *scenario.vkb, static_cast<version::VersionId>(v),
+        static_cast<version::VersionId>(v + 1));
+    ASSERT_TRUE(ctx.ok());
+    measures::ReportCache reports;
+    auto all = measures::EvaluateAll(registry, *ctx, reports);
+    ASSERT_TRUE(all.ok());
+    reference.emplace_back();
+    for (const auto& report : *all) reference.back().push_back(*report);
+  }
+
+  ThreadPool brandes_pool(2);
+  ThreadPool measure_pool(2);
+  ArtefactCache cache(16, &brandes_pool);
+  std::mutex vkb_mu;
+  const auto materialize = [&](size_t v) {
+    return [&scenario, &vkb_mu,
+            v]() -> Result<std::shared_ptr<const rdf::KnowledgeBase>> {
+      std::lock_guard<std::mutex> lock(vkb_mu);
+      auto kb = scenario.vkb->Snapshot(static_cast<version::VersionId>(v));
+      if (!kb.ok()) return kb.status();
+      return std::make_shared<const rdf::KnowledgeBase>(**kb);
+    };
+  };
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < kIterations; ++i) {
+        const size_t v = (t + i) % kTransitions;
+        auto before = cache.Get(fingerprints[v], {}, materialize(v));
+        auto after = cache.Get(fingerprints[v + 1], {}, materialize(v + 1));
+        if (!before.ok() || !after.ok()) {
+          ++failures;
+          continue;
+        }
+        auto ctx = measures::EvolutionContext::Build(std::move(*before),
+                                                     std::move(*after));
+        if (!ctx.ok()) {
+          ++failures;
+          continue;
+        }
+        measures::ReportCache reports;
+        auto all = measures::EvaluateAll(registry, *ctx, reports,
+                                         t % 2 == 0 ? &measure_pool : nullptr);
+        if (!all.ok() || all->size() != reference[v].size()) {
+          ++failures;
+          continue;
+        }
+        for (size_t m = 0; m < all->size(); ++m) {
+          const auto& got = (*all)[m]->scores();
+          const auto& want = reference[v][m].scores();
+          bool same = got.size() == want.size();
+          for (size_t s = 0; same && s < got.size(); ++s) {
+            same = got[s].term == want[s].term && got[s].score == want[s].score;
+          }
+          if (!same) ++failures;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(cache.stats().kernel_builds, versions);
 }
 
 }  // namespace

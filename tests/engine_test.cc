@@ -10,7 +10,10 @@
 #include <string>
 #include <vector>
 
+#include "delta/low_level_delta.h"
 #include "engine/recommendation_service.h"
+#include "version/kb_view.h"
+#include "version/sharded_kb.h"
 #include "workload/scenarios.h"
 
 namespace evorec::engine {
@@ -138,6 +141,63 @@ TEST(EvaluationEngineTest, ReportsAreMemoizedPerContext) {
   auto by_name = (*evaluation)->Report("class_change_count");
   ASSERT_TRUE(by_name.ok());
   EXPECT_EQ((*evaluation)->report_stats().computations, registry.size());
+}
+
+// An adjacent pair's context takes its delta from the archived change
+// set, which must equal the store diff of the two snapshots under every
+// archive policy and through a sharded view — including a noisy change
+// set (re-added, added-and-removed, absent and duplicate triples).
+TEST(EvaluationEngineTest, AdjacentPairDeltaEqualsTheStoreDiff) {
+  workload::Scenario scenario = SmallScenario();
+  const version::VersionedKnowledgeBase& source = *scenario.vkb;
+  auto base = source.Snapshot(0);
+  ASSERT_TRUE(base.ok());
+  std::vector<version::ChangeSet> history;
+  for (version::VersionId v = 1; v < source.version_count(); ++v) {
+    auto changes = source.Changes(v);
+    ASSERT_TRUE(changes.ok());
+    history.push_back(std::move(changes).value());
+  }
+  const std::vector<rdf::Triple> head =
+      (*source.Snapshot(source.head()))->store().Match(rdf::TriplePattern{});
+  ASSERT_GE(head.size(), 3u);
+  const rdf::TermId fresh = scenario.vkb->dictionary().InternIri("http://x/fresh");
+  const rdf::Triple added{fresh, head[0].predicate, head[0].object};
+  const rdf::Triple added_and_removed{fresh, head[1].predicate, head[1].object};
+  const rdf::Triple absent{head[2].subject, head[2].predicate, fresh};
+  history.push_back(version::ChangeSet{
+      {head[0], added, added_and_removed, added},
+      {head[1], added_and_removed, absent}});
+
+  measures::MeasureRegistry registry = measures::DefaultRegistry();
+  const auto check = [&](version::KbView& view, const std::string& label) {
+    for (const version::ChangeSet& changes : history) {
+      ASSERT_TRUE(view.Commit(changes, "a", "replay", 0).ok()) << label;
+    }
+    EvaluationEngine engine(registry, {.threads = 1});
+    for (version::VersionId v = 0; v < view.head(); ++v) {
+      auto eval = engine.Evaluate(view, v, v + 1);
+      ASSERT_TRUE(eval.ok()) << label;
+      const measures::EvolutionContext& ctx = (*eval)->context();
+      const delta::LowLevelDelta diff =
+          delta::ComputeLowLevelDelta(ctx.before(), ctx.after());
+      EXPECT_FALSE(diff.empty()) << label << " v" << v;
+      EXPECT_EQ(ctx.low_level_delta().added, diff.added) << label << " v" << v;
+      EXPECT_EQ(ctx.low_level_delta().removed, diff.removed)
+          << label << " v" << v;
+    }
+  };
+  for (const auto& [policy, label] :
+       {std::pair{version::ArchivePolicy::kFullMaterialization, "full"},
+        std::pair{version::ArchivePolicy::kDeltaChain, "delta-chain"},
+        std::pair{version::ArchivePolicy::kHybridCheckpoint, "hybrid"}}) {
+    version::VersionedKnowledgeBase vkb(policy, **base,
+                                        /*checkpoint_interval=*/2);
+    version::SingleKbView view(vkb);
+    check(view, label);
+  }
+  version::ShardedKnowledgeBase sharded({.shards = 3}, **base);
+  check(sharded, "sharded");
 }
 
 TEST(RecommendationServiceTest, BatchMatchesSequentialRecommend) {
