@@ -1,6 +1,7 @@
 #include "engine/artefact_cache.h"
 
 #include <chrono>
+#include <iterator>
 #include <utility>
 
 namespace evorec::engine {
@@ -59,10 +60,13 @@ Result<ArtefactCache::SharedBase> ArtefactCache::GetBase(
       entry.lru_pos = lru_.begin();
       entries_.emplace(fingerprint, std::move(entry));
       while (lru_.size() > capacity_) {
-        // Never evict the entry we just inserted (it is at the front;
-        // capacity_ >= 1 guarantees the back is a different key).
-        entries_.erase(lru_.back());
-        lru_.pop_back();
+        // The least recent entry other than the pinned head; never the
+        // entry we just inserted (it is at the front).
+        auto victim = std::prev(lru_.end());
+        if (*victim == pinned_head_ && victim != lru_.begin()) --victim;
+        if (victim == lru_.begin()) break;
+        entries_.erase(*victim);
+        lru_.erase(victim);
         ++stats_.evictions;
       }
     }
@@ -223,6 +227,11 @@ std::shared_ptr<const measures::LazyBetweenness> ArtefactCache::CellFor(
   // Entry evicted meanwhile: hand out a detached cell (still correct,
   // just not shared with future requests).
   return cell;
+}
+
+void ArtefactCache::PinHead(uint64_t fingerprint) {
+  std::lock_guard<std::mutex> lock(mu_);
+  pinned_head_ = fingerprint;
 }
 
 ArtefactCacheStats ArtefactCache::stats() const {

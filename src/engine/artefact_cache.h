@@ -8,6 +8,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 
 #include "common/result.h"
@@ -68,7 +69,8 @@ struct IncrementalStats {
 /// (fingerprint, context-options) — sharing one cache across
 /// concurrently building contexts never duplicates a Brandes run.
 /// Handed-out bundles are immutable shared state and survive eviction
-/// while referenced.
+/// while referenced. One entry, the pinned head (see PinHead), is
+/// exempt from eviction.
 class ArtefactCache {
  public:
   /// Supplies the snapshot of the version being cached on a miss.
@@ -106,6 +108,13 @@ class ArtefactCache {
       const measures::ContextOptions& options,
       const Materializer& materialize_to, double churn_threshold,
       graph::BetweennessAdvanceStats* advance_stats = nullptr);
+
+  /// Exempts `fingerprint` from LRU eviction until another fingerprint
+  /// is pinned; at most one is pinned at a time, so the cache holds at
+  /// most capacity + 1 entries. The engine pins the head version: every
+  /// commit refresh advances from it, so reads of older versions must
+  /// not age out its computed betweenness cell.
+  void PinHead(uint64_t fingerprint);
 
   ArtefactCacheStats stats() const;
 
@@ -161,6 +170,7 @@ class ArtefactCache {
   mutable std::mutex mu_;
   std::list<uint64_t> lru_;  // most-recent first
   std::unordered_map<uint64_t, Entry> entries_;
+  std::optional<uint64_t> pinned_head_;
   ArtefactCacheStats stats_;
   IncrementalStats incremental_;
   uint64_t generation_ = 0;

@@ -124,6 +124,7 @@ Result<std::shared_ptr<const SharedEvaluation>> EvaluationEngine::Evaluate(
     measures::ContextOptions context_options) {
   Result<version::SnapshotHandle> before = InternalError("unresolved");
   Result<version::SnapshotHandle> after = InternalError("unresolved");
+  version::VersionId head = 0;
   {
     // Handles read the view's version vectors, which a concurrent
     // CommitAndRefresh appends to — same lock as every other view
@@ -131,6 +132,7 @@ Result<std::shared_ptr<const SharedEvaluation>> EvaluationEngine::Evaluate(
     auto lock = LockIfExternal(view);
     before = view.Handle(v1);
     after = view.Handle(v2);
+    head = view.head();
   }
   if (!before.ok()) return before.status();
   if (!after.ok()) return after.status();
@@ -152,6 +154,9 @@ Result<std::shared_ptr<const SharedEvaluation>> EvaluationEngine::Evaluate(
         return view.SharedSnapshot(v);
       };
     };
+    // The next commit advances from the head's betweenness cell: keep
+    // it resident however many older versions are read meanwhile.
+    if (v2 == head) artefacts_.PinHead(after->fingerprint);
     auto before_art = artefacts_.Get(before->fingerprint, context_options,
                                      materialize(v1));
     if (!before_art.ok()) return before_art.status();
@@ -307,6 +312,7 @@ Result<EvaluationEngine::RefreshResult> EvaluationEngine::Refresh(
         return view.SharedSnapshot(v);
       };
     };
+    artefacts_.PinHead(curr->fingerprint);
     auto prev_art = artefacts_.Get(prev->fingerprint, context_options,
                                    materialize(head - 1));
     if (!prev_art.ok()) return prev_art.status();

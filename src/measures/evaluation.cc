@@ -59,6 +59,21 @@ std::shared_ptr<const MeasureReport> ReportCache::Lookup(
   return result.ok() ? *result : nullptr;
 }
 
+std::shared_ptr<const MeasureReport> ReportCache::LookupReady(
+    std::string_view name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(std::string(name));
+  if (it == entries_.end() ||
+      it->second.wait_for(std::chrono::seconds(0)) !=
+          std::future_status::ready) {
+    return nullptr;
+  }
+  const Result<SharedReport>& result = it->second.get();
+  if (!result.ok()) return nullptr;
+  ++stats_.hits;
+  return *result;
+}
+
 size_t ReportCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   size_t count = 0;
@@ -86,13 +101,25 @@ Result<std::vector<std::shared_ptr<const MeasureReport>>> EvaluateAll(
   std::vector<Result<std::shared_ptr<const MeasureReport>>> slots(
       measures.size(), Result<std::shared_ptr<const MeasureReport>>(
                            InternalError("measure not evaluated")));
-  auto evaluate_one = [&](size_t i) {
+  // Cached reports are collected on the calling thread and only the
+  // uncached ones fan out, so re-reading a warm context (the service's
+  // post-commit warm-up) wakes no pool worker.
+  std::vector<size_t> uncached;
+  for (size_t i = 0; i < measures.size(); ++i) {
+    if (auto hit = cache.LookupReady(measures[i]->info().name)) {
+      slots[i] = std::move(hit);
+    } else {
+      uncached.push_back(i);
+    }
+  }
+  auto evaluate_one = [&](size_t k) {
+    const size_t i = uncached[k];
     slots[i] = cache.GetOrCompute(*measures[i], ctx);
   };
   if (pool != nullptr) {
-    pool->ParallelFor(measures.size(), evaluate_one);
+    pool->ParallelFor(uncached.size(), evaluate_one);
   } else {
-    for (size_t i = 0; i < measures.size(); ++i) evaluate_one(i);
+    for (size_t k = 0; k < uncached.size(); ++k) evaluate_one(k);
   }
 
   std::vector<std::shared_ptr<const MeasureReport>> reports;

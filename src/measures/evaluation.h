@@ -47,6 +47,11 @@ class ReportCache {
   /// The cached report of `name`, or nullptr when never computed.
   std::shared_ptr<const MeasureReport> Lookup(std::string_view name) const;
 
+  /// The report of `name` when it is already computed, counted as a
+  /// hit; nullptr (nothing counted) when it is absent, still being
+  /// computed, or failed. Never blocks on an in-flight computation.
+  std::shared_ptr<const MeasureReport> LookupReady(std::string_view name);
+
   /// Number of successfully cached reports.
   size_t size() const;
 
@@ -64,8 +69,9 @@ class ReportCache {
 /// Registry-driven batch evaluation: the report of every registered
 /// measure over `ctx`, in registration order, filling `cache` as it
 /// goes. Measures already cached are not recomputed. When `pool` is
-/// non-null the uncached measures evaluate in parallel. Fails if any
-/// measure computation fails.
+/// non-null the uncached measures evaluate in parallel; cached ones are
+/// collected on the calling thread, so a fully warm context never wakes
+/// the pool. Fails if any measure computation fails.
 Result<std::vector<std::shared_ptr<const MeasureReport>>> EvaluateAll(
     const MeasureRegistry& registry, const EvolutionContext& ctx,
     ReportCache& cache, ThreadPool* pool = nullptr);

@@ -211,6 +211,92 @@ TEST(ArtefactCacheTest, EvictionKeepsHandedOutBundlesValid) {
   EXPECT_LE(stats.snapshot_loads, 2u * 3u);
 }
 
+TEST(ArtefactCacheTest, PinnedHeadSurvivesEviction) {
+  workload::Scenario scenario = ChainScenario(4);
+  measures::ContextOptions options;
+  const auto materialize = [&](version::VersionId v) {
+    return [&, v] {
+      auto snapshot = scenario.vkb->Snapshot(v);
+      return Result<std::shared_ptr<const rdf::KnowledgeBase>>(
+          std::make_shared<const rdf::KnowledgeBase>(**snapshot));
+    };
+  };
+  ArtefactCache cache(2);
+  cache.PinHead(100);
+  ASSERT_TRUE(cache.Get(100, options, materialize(4)).ok());
+  for (uint64_t fp = 101; fp <= 104; ++fp) {
+    const auto v = static_cast<version::VersionId>(fp - 101);
+    ASSERT_TRUE(cache.Get(fp, options, materialize(v)).ok());
+  }
+  // LRU would have dropped 100 first; pinned, it stays resident.
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.stats().evictions, 3u);
+  ASSERT_TRUE(cache.Get(100, options, materialize(4)).ok());
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 5u);
+
+  // Pinning another version releases the old head to plain LRU.
+  cache.PinHead(104);
+  ASSERT_TRUE(cache.Get(105, options, materialize(0)).ok());
+  ASSERT_TRUE(cache.Get(106, options, materialize(1)).ok());
+  EXPECT_EQ(cache.size(), 2u);
+  ASSERT_TRUE(cache.Get(104, options, materialize(3)).ok());
+  EXPECT_EQ(cache.stats().hits, 2u);
+}
+
+// Reads of older versions must not cost the next commit its advance:
+// the head stays pinned, so the refresh finds the predecessor's
+// computed betweenness however many other versions were read since.
+TEST(ArtefactCacheChainWalkTest, CommitAfterHistoryReadsAdvancesFromTheHead) {
+  constexpr size_t kTransitions = 5;
+  workload::Scenario scenario = ChainScenario(kTransitions);
+  version::VersionedKnowledgeBase& vkb = *scenario.vkb;
+  measures::MeasureRegistry registry = measures::DefaultRegistry();
+  EvaluationEngine engine(registry, {.context_cache_capacity = 1,
+                                     .artefact_cache_capacity = 2,
+                                     .threads = 2,
+                                     .refresh_churn_threshold = 1.0});
+  const version::VersionId head = vkb.head();
+  auto warm = engine.Evaluate(vkb, head - 1, head);
+  ASSERT_TRUE(warm.ok());
+  ASSERT_TRUE((*warm)->AllReports().ok());
+  for (version::VersionId v = 0; v + 2 < head; ++v) {
+    auto older = engine.Evaluate(vkb, v, v + 1);
+    ASSERT_TRUE(older.ok());
+    ASSERT_TRUE((*older)->AllReports().ok());
+  }
+  warm = Result<std::shared_ptr<const SharedEvaluation>>(
+      InternalError("released"));
+  const ArtefactCacheStats before = engine.artefact_stats();
+
+  const auto triples = (*vkb.Snapshot(head))->store().Match(rdf::TriplePattern{});
+  ASSERT_FALSE(triples.empty());
+  auto refreshed = engine.CommitAndRefresh(
+      vkb, version::ChangeSet{{}, {triples.front()}}, "a", "commit", 0);
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  ASSERT_TRUE(refreshed->evaluation->AllReports().ok());
+
+  const IncrementalStats inc = engine.incremental_stats();
+  EXPECT_EQ(inc.refreshes, 1u);
+  EXPECT_EQ(inc.stayed_lazy, 0u);
+  EXPECT_EQ(inc.advanced + inc.full_recomputes, 1u);
+  // Only the new head was built: the predecessor was still resident.
+  const ArtefactCacheStats after = engine.artefact_stats();
+  EXPECT_EQ(after.misses, before.misses + 1);
+  EXPECT_EQ(after.betweenness_runs,
+            before.betweenness_runs + inc.full_recomputes);
+
+  // And the refreshed head pair matches a cold rebuild bit for bit.
+  auto cold = measures::EvolutionContext::FromVersions(vkb, head, head + 1);
+  ASSERT_TRUE(cold.ok());
+  measures::BetweennessShiftMeasure measure;
+  auto reference = measure.Compute(*cold);
+  ASSERT_TRUE(reference.ok());
+  auto served = refreshed->evaluation->Report("betweenness_shift");
+  ASSERT_TRUE(served.ok());
+  ExpectIdenticalReports(*reference, **served, "refreshed head pair");
+}
+
 TEST(ArtefactCacheTest, FailedMaterializeIsNotCached) {
   ArtefactCache cache(4);
   measures::ContextOptions options;

@@ -143,6 +143,41 @@ TEST(EvaluationEngineTest, ReportsAreMemoizedPerContext) {
   EXPECT_EQ((*evaluation)->report_stats().computations, registry.size());
 }
 
+// A partly warm context computes only its missing reports and serves
+// the cached ones as hits.
+TEST(EvaluationEngineTest, AllReportsComputesOnlyTheUncached) {
+  workload::Scenario scenario = SmallScenario();
+  measures::MeasureRegistry registry = measures::DefaultRegistry();
+  EvaluationEngine engine(registry, {.context_cache_capacity = 4,
+                                     .threads = 2});
+  auto evaluation = engine.Evaluate(*scenario.vkb, 0, 1);
+  ASSERT_TRUE(evaluation.ok());
+  auto single = (*evaluation)->Report("relevance_shift");
+  ASSERT_TRUE(single.ok());
+
+  auto all = (*evaluation)->AllReports();
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  measures::ReportCacheStats stats = (*evaluation)->report_stats();
+  EXPECT_EQ(stats.computations, registry.size());
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.coalesced, 0u);
+  const std::vector<measures::MeasureInfo> infos = registry.List();
+  for (size_t i = 0; i < infos.size(); ++i) {
+    if (infos[i].name == "relevance_shift") {
+      EXPECT_EQ((*all)[i].get(), single->get());
+    }
+  }
+
+  auto again = (*evaluation)->AllReports();
+  ASSERT_TRUE(again.ok());
+  stats = (*evaluation)->report_stats();
+  EXPECT_EQ(stats.computations, registry.size());
+  EXPECT_EQ(stats.hits, 1u + registry.size());
+  for (size_t i = 0; i < all->size(); ++i) {
+    EXPECT_EQ((*all)[i].get(), (*again)[i].get());
+  }
+}
+
 // An adjacent pair's context takes its delta from the archived change
 // set, which must equal the store diff of the two snapshots under every
 // archive policy and through a sharded view — including a noisy change
