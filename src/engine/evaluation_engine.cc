@@ -112,11 +112,52 @@ std::unique_lock<std::mutex> EvaluationEngine::LockIfExternal(
   return std::unique_lock<std::mutex>(vkb_mu_);
 }
 
-Result<std::shared_ptr<const SharedEvaluation>> EvaluationEngine::Evaluate(
-    const version::VersionedKnowledgeBase& vkb, version::VersionId v1,
-    version::VersionId v2, measures::ContextOptions context_options) {
-  version::SingleKbView view(vkb);
-  return Evaluate(view, v1, v2, context_options);
+Result<std::pair<measures::VersionArtefacts, measures::VersionArtefacts>>
+EvaluationEngine::ArtefactPair(const version::KbView& view,
+                               const version::SnapshotHandle& before,
+                               const version::SnapshotHandle& after,
+                               const measures::ContextOptions& context_options,
+                               bool advance) {
+  const auto materialize = [&](version::VersionId v) {
+    return [this, &view,
+            v]() -> Result<std::shared_ptr<const rdf::KnowledgeBase>> {
+      auto lock = LockIfExternal(view);
+      return view.SharedSnapshot(v);
+    };
+  };
+  auto before_art = artefacts_.Get(before.fingerprint, context_options,
+                                   materialize(before.id));
+  if (!before_art.ok()) return before_art.status();
+  auto after_art =
+      advance ? artefacts_.Refresh(before.fingerprint, after.fingerprint,
+                                   context_options, materialize(after.id),
+                                   options_.refresh_churn_threshold)
+              : artefacts_.Get(after.fingerprint, context_options,
+                               materialize(after.id));
+  if (!after_art.ok()) return after_art.status();
+  if (before_art->snapshot->shared_dictionary() !=
+      after_art->snapshot->shared_dictionary()) {
+    // Fingerprint-equal versions of *distinct* VersionedKnowledgeBase
+    // instances (identical histories, e.g. a restored replica) carry
+    // identical TermId mappings but distinct Dictionary objects, so a
+    // cached artefact from one instance cannot pair with a freshly
+    // materialised one from the other. Rebuild both sides cold from
+    // the caller's view — correct, just uncached, and nothing cached
+    // from the twin can be advanced — rather than failing the request.
+    const auto rebuild = [&](const version::SnapshotHandle& handle)
+        -> Result<measures::VersionArtefacts> {
+      auto snapshot = materialize(handle.id)();
+      if (!snapshot.ok()) return snapshot.status();
+      return measures::MakeVersionArtefacts(
+          std::move(*snapshot), context_options, &pool_,
+          /*sampling_salt=*/handle.fingerprint);
+    };
+    before_art = rebuild(before);
+    if (!before_art.ok()) return before_art.status();
+    after_art = rebuild(after);
+    if (!after_art.ok()) return after_art.status();
+  }
+  return std::pair{std::move(*before_art), std::move(*after_art)};
 }
 
 Result<std::shared_ptr<const SharedEvaluation>> EvaluationEngine::Evaluate(
@@ -142,53 +183,19 @@ Result<std::shared_ptr<const SharedEvaluation>> EvaluationEngine::Evaluate(
   // snapshot fingerprint): a version shared with any previously built
   // pair contributes its snapshot copy, schema view, schema graph and
   // betweenness for free, and only the pair-level delta work runs
-  // here. Cache misses snapshot under the vkb lock (the versioned
-  // KB's lazy snapshot cache is not thread-safe); everything else runs
-  // outside the engine lock, so other keys stay servable meanwhile and
-  // same-key callers wait on the in-flight future.
+  // here — outside the engine lock, so other keys stay servable
+  // meanwhile and same-key callers wait on the in-flight future.
   const auto build = [&]() -> Result<measures::EvolutionContext> {
-    const auto materialize = [&](version::VersionId v) {
-      return [this, &view,
-              v]() -> Result<std::shared_ptr<const rdf::KnowledgeBase>> {
-        auto lock = LockIfExternal(view);
-        return view.SharedSnapshot(v);
-      };
-    };
     // The next commit advances from the head's betweenness cell: keep
     // it resident however many older versions are read meanwhile.
     if (v2 == head) artefacts_.PinHead(after->fingerprint);
-    auto before_art = artefacts_.Get(before->fingerprint, context_options,
-                                     materialize(v1));
-    if (!before_art.ok()) return before_art.status();
-    auto after_art = artefacts_.Get(after->fingerprint, context_options,
-                                    materialize(v2));
-    if (!after_art.ok()) return after_art.status();
-    if (before_art->snapshot->shared_dictionary() !=
-        after_art->snapshot->shared_dictionary()) {
-      // Fingerprint-equal versions of *distinct* VersionedKnowledgeBase
-      // instances (identical histories, e.g. a restored replica) carry
-      // identical TermId mappings but distinct Dictionary objects, so a
-      // cached artefact from one instance cannot pair with a freshly
-      // materialised one from the other. Rebuild both sides from the
-      // caller's vkb — correct, just uncached — rather than failing
-      // the request.
-      auto rebuild = [&](version::VersionId v, uint64_t fingerprint)
-          -> Result<measures::VersionArtefacts> {
-        auto snapshot = materialize(v)();
-        if (!snapshot.ok()) return snapshot.status();
-        return measures::MakeVersionArtefacts(std::move(*snapshot),
-                                              context_options, &pool_,
-                                              /*sampling_salt=*/fingerprint);
-      };
-      before_art = rebuild(v1, before->fingerprint);
-      if (!before_art.ok()) return before_art.status();
-      after_art = rebuild(v2, after->fingerprint);
-      if (!after_art.ok()) return after_art.status();
-    }
+    auto pair = ArtefactPair(view, *before, *after, context_options,
+                             /*advance=*/false);
+    if (!pair.ok()) return pair.status();
+    auto& [before_art, after_art] = *pair;
     if (v2 != v1 + 1) {
-      return measures::EvolutionContext::Build(std::move(*before_art),
-                                               std::move(*after_art),
-                                               context_options);
+      return measures::EvolutionContext::Build(
+          std::move(before_art), std::move(after_art), context_options);
     }
     // Adjacent pair: the delta comes from v2's archived change set by
     // membership probes (equal to the store diff by contract), not an
@@ -200,9 +207,9 @@ Result<std::shared_ptr<const SharedEvaluation>> EvaluationEngine::Evaluate(
     }
     if (!changes.ok()) return changes.status();
     delta::LowLevelDelta delta =
-        delta::DeltaFromCandidates(*before_art->snapshot, *changes);
+        delta::DeltaFromCandidates(*before_art.snapshot, *changes);
     return measures::EvolutionContext::Build(
-        std::move(*before_art), std::move(*after_art), std::move(delta),
+        std::move(before_art), std::move(after_art), std::move(delta),
         /*advance_from=*/nullptr, context_options);
   };
   return GetOrBuild(key, build, /*refreshed=*/false);
@@ -266,13 +273,6 @@ EvaluationEngine::SharedEval EvaluationEngine::Peek(
 }
 
 Result<EvaluationEngine::RefreshResult> EvaluationEngine::Refresh(
-    const version::VersionedKnowledgeBase& vkb,
-    measures::ContextOptions context_options) {
-  version::SingleKbView view(vkb);
-  return Refresh(view, context_options);
-}
-
-Result<EvaluationEngine::RefreshResult> EvaluationEngine::Refresh(
     const version::KbView& view, measures::ContextOptions context_options) {
   version::VersionId head = 0;
   Result<version::SnapshotHandle> prev = InternalError("unresolved");
@@ -305,43 +305,15 @@ Result<EvaluationEngine::RefreshResult> EvaluationEngine::Refresh(
   const ContextKey key{prev->fingerprint, curr->fingerprint, context_options};
 
   const auto build = [&]() -> Result<measures::EvolutionContext> {
-    const auto materialize = [&](version::VersionId v) {
-      return [this, &view,
-              v]() -> Result<std::shared_ptr<const rdf::KnowledgeBase>> {
-        auto lock = LockIfExternal(view);
-        return view.SharedSnapshot(v);
-      };
-    };
     artefacts_.PinHead(curr->fingerprint);
-    auto prev_art = artefacts_.Get(prev->fingerprint, context_options,
-                                   materialize(head - 1));
-    if (!prev_art.ok()) return prev_art.status();
-    auto head_art = artefacts_.Refresh(
-        prev->fingerprint, curr->fingerprint, context_options,
-        materialize(head), options_.refresh_churn_threshold);
-    if (!head_art.ok()) return head_art.status();
-    if (prev_art->snapshot->shared_dictionary() !=
-        head_art->snapshot->shared_dictionary()) {
-      // Same replica situation as in Evaluate: cached artefacts from a
-      // fingerprint-twin vkb cannot pair with this one's. Rebuild both
-      // sides cold — nothing cached from the twin can be advanced.
-      auto rebuild = [&](version::VersionId v, uint64_t fingerprint)
-          -> Result<measures::VersionArtefacts> {
-        auto snapshot = materialize(v)();
-        if (!snapshot.ok()) return snapshot.status();
-        return measures::MakeVersionArtefacts(std::move(*snapshot),
-                                              context_options, &pool_,
-                                              /*sampling_salt=*/fingerprint);
-      };
-      prev_art = rebuild(head - 1, prev->fingerprint);
-      if (!prev_art.ok()) return prev_art.status();
-      head_art = rebuild(head, curr->fingerprint);
-      if (!head_art.ok()) return head_art.status();
-    }
+    auto pair = ArtefactPair(view, *prev, *curr, context_options,
+                             /*advance=*/true);
+    if (!pair.ok()) return pair.status();
+    auto& [prev_art, head_art] = *pair;
     // O(|δ|): the pair delta comes from the commit's archived change
     // set via membership probes, not an O(T) store diff.
     delta::LowLevelDelta delta =
-        delta::DeltaFromCandidates(*prev_art->snapshot, changes);
+        delta::DeltaFromCandidates(*prev_art.snapshot, changes);
     // Advance the delta index from the preceding pair's when that
     // evaluation is still warm (keep it alive across the build).
     SharedEval preceding;
@@ -350,7 +322,7 @@ Result<EvaluationEngine::RefreshResult> EvaluationEngine::Refresh(
           ContextKey{prev_prev_fingerprint, prev->fingerprint, context_options});
     }
     return measures::EvolutionContext::Build(
-        std::move(*prev_art), std::move(*head_art), std::move(delta),
+        std::move(prev_art), std::move(head_art), std::move(delta),
         preceding != nullptr ? &preceding->context().delta_index() : nullptr,
         context_options);
   };
@@ -374,15 +346,6 @@ EvaluationEngine::LastGoodRefresh() const {
 }
 
 Result<EvaluationEngine::RefreshResult> EvaluationEngine::CommitAndRefresh(
-    version::VersionedKnowledgeBase& vkb, version::ChangeSet changes,
-    std::string author, std::string message, uint64_t timestamp,
-    measures::ContextOptions context_options) {
-  version::SingleKbView view(vkb);
-  return CommitAndRefresh(view, std::move(changes), std::move(author),
-                          std::move(message), timestamp, context_options);
-}
-
-Result<EvaluationEngine::RefreshResult> EvaluationEngine::CommitAndRefresh(
     version::KbView& view, version::ChangeSet changes, std::string author,
     std::string message, uint64_t timestamp,
     measures::ContextOptions context_options) {
@@ -393,14 +356,6 @@ Result<EvaluationEngine::RefreshResult> EvaluationEngine::CommitAndRefresh(
     if (!committed.ok()) return committed.status();
   }
   return Refresh(view, context_options);
-}
-
-Result<measures::EvolutionTimeline> EvaluationEngine::Timeline(
-    const version::VersionedKnowledgeBase& vkb, std::string_view measure,
-    version::VersionId first, version::VersionId last,
-    measures::ContextOptions context_options) {
-  version::SingleKbView view(vkb);
-  return Timeline(view, measure, first, last, context_options);
 }
 
 Result<measures::EvolutionTimeline> EvaluationEngine::Timeline(

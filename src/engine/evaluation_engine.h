@@ -21,7 +21,6 @@
 #include "measures/timeline.h"
 #include "recommend/recommender.h"
 #include "version/kb_view.h"
-#include "version/versioned_kb.h"
 
 namespace evorec::engine {
 
@@ -151,39 +150,30 @@ class SharedEvaluation {
 /// The shared evaluation engine: owns an LRU cache of
 /// SharedEvaluations keyed by (before, after, options) and the thread
 /// pool driving parallel work. Thread-safe; concurrent requests for
-/// the same missing key coalesce into one build (single-flight), and
-/// snapshot materialisation is serialised internally (the versioned
-/// KB's lazy caches are not thread-safe). Route all concurrent access
-/// to one VersionedKnowledgeBase through one engine; commits that
-/// should interleave with in-flight requests must likewise go through
-/// the engine (CommitAndRefresh), which serialises every vkb touch —
-/// reads and writes — under one internal lock.
+/// the same missing key coalesce into one build (single-flight).
 ///
-/// Every entry point also has a version::KbView overload, and the
-/// engine's internal lock is taken only for views that are not
-/// internally synchronised. Serving a
-/// version::ShardedKnowledgeBase therefore runs its snapshot pins
-/// lock-free through the engine: readers never block on a concurrent
-/// CommitAndRefresh.
+/// Every entry point takes a version::KbView. The engine's internal
+/// vkb lock is taken around each view call only for views that are
+/// not internally synchronised — a VersionedKnowledgeBase, whose lazy
+/// snapshot cache is not thread-safe. Route all concurrent access to
+/// one VersionedKnowledgeBase through one engine, commits included
+/// (CommitAndRefresh). A version::ShardedKnowledgeBase synchronises
+/// itself, so its snapshot pins run lock-free through the engine:
+/// readers never block on a concurrent CommitAndRefresh.
 class EvaluationEngine {
  public:
   /// `registry` must outlive the engine.
   explicit EvaluationEngine(const measures::MeasureRegistry& registry,
                             EngineOptions options = {});
 
-  /// The shared evaluation of versions (v1, v2) of `vkb`, built on
+  /// The shared evaluation of versions (v1, v2) of `view`, built on
   /// first request and cached under its snapshot fingerprints. An
   /// adjacent pair (v2 == v1 + 1) takes its delta from v2's archived
-  /// ChangeSet in O(|δ|); other pairs diff the two stores. The
-  /// returned evaluation stays valid across eviction but must be
-  /// dropped before the engine is destroyed.
-  Result<std::shared_ptr<const SharedEvaluation>> Evaluate(
-      const version::VersionedKnowledgeBase& vkb, version::VersionId v1,
-      version::VersionId v2, measures::ContextOptions context_options = {});
-
-  /// KbView flavour of Evaluate — the shape every other overload
-  /// funnels into. `view` only needs to live for the duration of the
-  /// call (builds run synchronously on the calling thread).
+  /// ChangeSet in O(|δ|); other pairs diff the two stores. `view` only
+  /// needs to live for the duration of the call (builds run
+  /// synchronously on the calling thread). The returned evaluation
+  /// stays valid across eviction but must be dropped before the engine
+  /// is destroyed.
   Result<std::shared_ptr<const SharedEvaluation>> Evaluate(
       const version::KbView& view, version::VersionId v1,
       version::VersionId v2, measures::ContextOptions context_options = {});
@@ -195,7 +185,7 @@ class EvaluationEngine {
     std::shared_ptr<const SharedEvaluation> evaluation;
   };
 
-  /// Incrementally refreshes the caches to `vkb`'s current head: the
+  /// Incrementally refreshes the caches to `view`'s current head: the
   /// head version's artefacts advance from its predecessor's (the
   /// betweenness update re-runs only chunks the commit's
   /// affected-source frontier reaches; see refresh_churn_threshold),
@@ -204,27 +194,16 @@ class EvaluationEngine {
   /// when it is warm. The resulting (head−1, head) evaluation is
   /// cached under the same key — and is bit-identical to the one
   /// Evaluate would have built cold.
-  Result<RefreshResult> Refresh(const version::VersionedKnowledgeBase& vkb,
-                                measures::ContextOptions context_options = {});
-
-  /// KbView flavour of Refresh.
   Result<RefreshResult> Refresh(const version::KbView& view,
                                 measures::ContextOptions context_options = {});
 
-  /// The serving loop's write path: commits `changes` to `vkb` and
-  /// refreshes in one step. All vkb access (the commit included) runs
-  /// under the engine's internal lock, so this is safe to call while
-  /// other threads serve requests through the same engine — one
-  /// committer at a time.
-  Result<RefreshResult> CommitAndRefresh(
-      version::VersionedKnowledgeBase& vkb, version::ChangeSet changes,
-      std::string author, std::string message, uint64_t timestamp = 0,
-      measures::ContextOptions context_options = {});
-
-  /// KbView flavour of CommitAndRefresh. For an internally
-  /// synchronised view (a ShardedKnowledgeBase) the commit runs
-  /// without the engine's vkb lock, so in-flight reads keep flowing
-  /// while it lands — the view's own publish point is the only
+  /// The serving loop's write path: commits `changes` to `view` and
+  /// refreshes in one step. Safe to call while other threads serve
+  /// requests through the same engine — one committer at a time. A
+  /// VersionedKnowledgeBase commits under the engine's vkb lock, like
+  /// every other touch of it; an internally synchronised view (a
+  /// ShardedKnowledgeBase) commits without it, so in-flight reads keep
+  /// flowing while it lands — the view's own publish point is the only
   /// synchronisation between them.
   Result<RefreshResult> CommitAndRefresh(
       version::KbView& view, version::ChangeSet changes, std::string author,
@@ -238,19 +217,13 @@ class EvaluationEngine {
   std::optional<RefreshResult> LastGoodRefresh() const;
 
   /// The timeline of the registered measure `measure` over every
-  /// consecutive version pair of `vkb` in [first, last] — the fast
+  /// consecutive version pair of `view` in [first, last] — the fast
   /// cold chain walk: every context is served through the engine's
   /// caches, so each version's snapshot, schema view, schema graph
   /// and betweenness are built exactly once (K builds for a K-version
   /// chain; the pair-keyed EvolutionTimeline::Compute performs
   /// 2·(K−1)), and reports of already-warm transitions are reused
   /// outright.
-  Result<measures::EvolutionTimeline> Timeline(
-      const version::VersionedKnowledgeBase& vkb, std::string_view measure,
-      version::VersionId first = 0, version::VersionId last = UINT32_MAX,
-      measures::ContextOptions context_options = {});
-
-  /// KbView flavour of Timeline.
   Result<measures::EvolutionTimeline> Timeline(
       const version::KbView& view, std::string_view measure,
       version::VersionId first = 0, version::VersionId last = UINT32_MAX,
@@ -286,6 +259,17 @@ class EvaluationEngine {
   /// Cache-peek (no LRU touch) of the evaluation under `key`.
   SharedEval Peek(const ContextKey& key) const;
 
+  /// The artefact bundles of the (before, after) pair, from the
+  /// artefact cache — `after` advanced from `before` through
+  /// ArtefactCache::Refresh when `advance` (a commit refresh) —
+  /// materialising misses from `view` under LockIfExternal. Shared by
+  /// Evaluate and Refresh.
+  Result<std::pair<measures::VersionArtefacts, measures::VersionArtefacts>>
+  ArtefactPair(const version::KbView& view,
+               const version::SnapshotHandle& before,
+               const version::SnapshotHandle& after,
+               const measures::ContextOptions& context_options, bool advance);
+
   /// The engine's vkb lock when `view` needs external serialisation,
   /// an empty (unlocked) guard when the view synchronises itself —
   /// the single switch that lets sharded readers bypass the lock.
@@ -299,10 +283,11 @@ class EvaluationEngine {
   ArtefactCache artefacts_;
 
   mutable std::mutex mu_;
-  // Serialises snapshot materialisation: the versioned KB's lazy
-  // snapshot cache is not thread-safe, and distinct-key builds may
-  // target one vkb concurrently. Only the snapshot copy runs under
-  // this lock — the expensive context build does not.
+  // Serialises calls into views that are not internally synchronised:
+  // a VersionedKnowledgeBase's lazy snapshot cache is not thread-safe,
+  // and distinct-key builds may target one vkb concurrently. Only the
+  // view calls run under this lock — the expensive context build does
+  // not.
   std::mutex vkb_mu_;
   // LRU: most-recent at the front; lookup_ points into lru_.
   std::list<std::pair<ContextKey, SharedEval>> lru_;

@@ -1,6 +1,8 @@
 #include "engine/recommendation_service.h"
 
+#include <algorithm>
 #include <functional>
+#include <type_traits>
 #include <utility>
 
 namespace evorec::engine {
@@ -42,7 +44,6 @@ RecommendationService::RecommendationService(
 void RecommendationService::AttachProvenance(
     provenance::ProvenanceStore* store) {
   provenance_ = store;
-  recommender_.AttachProvenance(store);
 }
 
 void RecommendationService::AttachAccessPolicy(
@@ -159,13 +160,6 @@ ServiceHealth RecommendationService::health() const {
   return out;
 }
 
-Status RecommendationService::WarmStart(
-    const version::VersionedKnowledgeBase& vkb, version::VersionId v1,
-    version::VersionId v2) {
-  version::SingleKbView view(vkb);
-  return WarmStart(view, v1, v2);
-}
-
 Status RecommendationService::WarmStart(const version::KbView& view,
                                         version::VersionId v1,
                                         version::VersionId v2) {
@@ -176,15 +170,6 @@ Status RecommendationService::WarmStart(const version::KbView& view,
   // fills here so even measures outside the candidate pipeline are hot.
   auto reports = (*evaluation)->AllReports();
   return reports.ok() ? OkStatus() : reports.status();
-}
-
-Result<version::VersionId> RecommendationService::Commit(
-    version::VersionedKnowledgeBase& vkb, version::ChangeSet changes,
-    std::string author, std::string message, uint64_t timestamp,
-    const RequestBudget& budget) {
-  version::SingleKbView view(vkb);
-  return Commit(view, std::move(changes), std::move(author),
-                std::move(message), timestamp, budget);
 }
 
 Result<version::VersionId> RecommendationService::Commit(
@@ -248,118 +233,9 @@ Result<version::VersionId> RecommendationService::Commit(
   return refreshed->version;
 }
 
-Result<recommend::RecommendationList> RecommendationService::Recommend(
-    const version::VersionedKnowledgeBase& vkb, version::VersionId v1,
-    version::VersionId v2, profile::HumanProfile& prof,
-    const RequestBudget& budget) {
-  version::SingleKbView view(vkb);
-  return Recommend(view, v1, v2, prof, budget);
-}
-
-Result<recommend::RecommendationList> RecommendationService::Recommend(
-    const version::KbView& view, version::VersionId v1, version::VersionId v2,
-    profile::HumanProfile& prof, const RequestBudget& budget) {
-  const uint64_t start = env_->NowMicros();
-  auto ticket = AdmitOrShed(AdmissionLane::kBulk, budget, 1);
-  if (!ticket.ok()) return ticket.status();
-  const Deadline deadline = EffectiveDeadline(budget);
-  Status alive = CheckDeadline(deadline, "context build", 1);
-  if (!alive.ok()) return alive;
-  bool brownout = false;
-  const measures::ContextOptions& context = PickContext(&brownout);
-  std::shared_ptr<const recommend::SharedRunState> state;
-  bool degraded = false;
-  auto evaluation = WarmOrFallback(view, v1, v2, context, &state, &degraded);
-  if (!evaluation.ok()) return evaluation.status();
-  alive = CheckDeadline(deadline, "scoring", 1);
-  if (!alive.ok()) return alive;
-  auto list = recommender_.RecommendForUser(*state, prof);
-  if (list.ok()) {
-    if (degraded) {
-      list->degraded = true;
-      CountDegradedServes(1);
-    }
-    if (brownout) {
-      list->brownout = true;
-      CountBrownoutServes(1);
-    }
-    read_latency_.Record(env_->NowMicros() - start);
-  }
-  return list;
-}
-
-Result<recommend::RecommendationList> RecommendationService::RecommendGroup(
-    const version::VersionedKnowledgeBase& vkb, version::VersionId v1,
-    version::VersionId v2, profile::Group& group,
-    const RequestBudget& budget) {
-  version::SingleKbView view(vkb);
-  return RecommendGroup(view, v1, v2, group, budget);
-}
-
-Result<recommend::RecommendationList> RecommendationService::RecommendGroup(
-    const version::KbView& view, version::VersionId v1, version::VersionId v2,
-    profile::Group& group, const RequestBudget& budget) {
-  const uint64_t start = env_->NowMicros();
-  // Group serves ride the priority lane: they are rarer and more
-  // expensive per call, so a bulk-read flood must not starve them.
-  auto ticket = AdmitOrShed(AdmissionLane::kPriority, budget, 1);
-  if (!ticket.ok()) return ticket.status();
-  const Deadline deadline = EffectiveDeadline(budget);
-  Status alive = CheckDeadline(deadline, "context build", 1);
-  if (!alive.ok()) return alive;
-  bool brownout = false;
-  const measures::ContextOptions& context = PickContext(&brownout);
-  std::shared_ptr<const recommend::SharedRunState> state;
-  bool degraded = false;
-  auto evaluation = WarmOrFallback(view, v1, v2, context, &state, &degraded);
-  if (!evaluation.ok()) return evaluation.status();
-  alive = CheckDeadline(deadline, "scoring", 1);
-  if (!alive.ok()) return alive;
-  auto list = recommender_.RecommendForGroup(*state, group);
-  if (list.ok()) {
-    if (degraded) {
-      list->degraded = true;
-      CountDegradedServes(1);
-    }
-    if (brownout) {
-      list->brownout = true;
-      CountBrownoutServes(1);
-    }
-    read_latency_.Record(env_->NowMicros() - start);
-  }
-  return list;
-}
-
-namespace {
-
-// Runs `serve(i)` for every index, in parallel over `pool` when
-// requested, and collects the results in input order. Every slot is
-// filled (parallel runs don't short-circuit); the first error wins.
-Result<std::vector<recommend::RecommendationList>> ServeAll(
-    size_t n, bool parallel, ThreadPool& pool,
-    const std::function<Result<recommend::RecommendationList>(size_t)>&
-        serve) {
-  std::vector<Result<recommend::RecommendationList>> slots(
-      n, Result<recommend::RecommendationList>(
-             InternalError("request not served")));
-  if (parallel) {
-    pool.ParallelFor(n, [&](size_t i) { slots[i] = serve(i); });
-  } else {
-    for (size_t i = 0; i < n; ++i) slots[i] = serve(i);
-  }
-  std::vector<recommend::RecommendationList> results;
-  results.reserve(n);
-  for (Result<recommend::RecommendationList>& slot : slots) {
-    if (!slot.ok()) return slot.status();
-    results.push_back(std::move(slot).value());
-  }
-  return results;
-}
-
-}  // namespace
-
-std::vector<provenance::RecordId> RecommendationService::MergeScratchTraces(
-    std::vector<provenance::ProvenanceStore>& scratch) {
+Result<std::vector<provenance::RecordId>> RecommendationService::SpliceTraces(
+    const std::vector<provenance::ProvenanceStore>& scratch) {
+  std::lock_guard<std::mutex> lock(provenance_mu_);
   std::vector<provenance::RecordId> bases(scratch.size(), 0);
   for (size_t i = 0; i < scratch.size(); ++i) {
     const provenance::RecordId base =
@@ -371,7 +247,8 @@ std::vector<provenance::RecordId> RecommendationService::MergeScratchTraces(
       // would have assigned is scratch id + base — inputs rebase to
       // records already spliced, keeping Append's validation happy.
       for (provenance::RecordId& input : rebased.inputs) input += base;
-      (void)provenance_->Append(std::move(rebased));
+      auto appended = provenance_->Append(std::move(rebased));
+      if (!appended.ok()) return appended.status();
     }
   }
   return bases;
@@ -379,8 +256,8 @@ std::vector<provenance::RecordId> RecommendationService::MergeScratchTraces(
 
 namespace {
 
-// Rebases the record ids a worker wrote scratch-relative into the
-// merged store's id space.
+// Rebases the record ids a run wrote scratch-relative into the attached
+// store's id space.
 void RebaseTrail(recommend::RecommendationList& list,
                  provenance::RecordId base) {
   for (provenance::RecordId& id : list.provenance_trail) id += base;
@@ -391,36 +268,42 @@ void RebaseTrail(recommend::RecommendationList& list,
   }
 }
 
-}  // namespace
-
-Result<std::vector<recommend::RecommendationList>>
-RecommendationService::RecommendBatch(
-    const version::VersionedKnowledgeBase& vkb, version::VersionId v1,
-    version::VersionId v2,
-    const std::vector<profile::HumanProfile*>& profiles,
-    const RequestBudget& budget) {
-  version::SingleKbView view(vkb);
-  return RecommendBatch(view, v1, v2, profiles, budget);
+Result<recommend::RecommendationList> OnlyResult(
+    Result<std::vector<recommend::RecommendationList>> batch) {
+  if (!batch.ok()) return batch.status();
+  return std::move(batch->front());
 }
 
+}  // namespace
+
+template <typename Principal>
 Result<std::vector<recommend::RecommendationList>>
-RecommendationService::RecommendBatch(
-    const version::KbView& view, version::VersionId v1, version::VersionId v2,
-    const std::vector<profile::HumanProfile*>& profiles,
-    const RequestBudget& budget) {
-  for (profile::HumanProfile* prof : profiles) {
-    if (prof == nullptr) {
-      return InvalidArgumentError("RecommendBatch: null profile");
-    }
+RecommendationService::Serve(const version::KbView& view,
+                             version::VersionId v1, version::VersionId v2,
+                             std::span<Principal* const> principals,
+                             const RequestBudget& budget) {
+  constexpr bool kGroup = std::is_same_v<Principal, profile::Group>;
+  // Delivery mutates each principal's seen-history, so the runs of one
+  // request must touch distinct objects.
+  std::vector<Principal*> sorted(principals.begin(), principals.end());
+  std::sort(sorted.begin(), sorted.end(), std::less<>());
+  if (!sorted.empty() && sorted.front() == nullptr) {
+    return InvalidArgumentError("serving request names a null principal");
+  }
+  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+    return InvalidArgumentError("serving request names a principal twice");
   }
   const uint64_t start = env_->NowMicros();
-  const size_t n = profiles.size();
+  const size_t n = principals.size();
   // A batch of n is n logical requests to the rate bucket but one
-  // in-flight unit of work.
-  auto ticket = AdmitOrShed(AdmissionLane::kBulk, budget, n);
+  // in-flight unit of work. Group serves ride the priority lane: they
+  // are rarer and more expensive per call, so a bulk-read flood must
+  // not starve them.
+  auto ticket = AdmitOrShed(
+      kGroup ? AdmissionLane::kPriority : AdmissionLane::kBulk, budget, n);
   if (!ticket.ok()) return ticket.status();
   const Deadline deadline = EffectiveDeadline(budget);
-  // Checked before the shared evaluation: an already-expired batch
+  // Checked before the shared evaluation: an already-expired request
   // does zero context builds (EngineStats stays untouched).
   Status alive = CheckDeadline(deadline, "context build", n);
   if (!alive.ok()) return alive;
@@ -430,147 +313,81 @@ RecommendationService::RecommendBatch(
   bool degraded = false;
   auto evaluation = WarmOrFallback(view, v1, v2, context, &state, &degraded);
   if (!evaluation.ok()) return evaluation.status();
-  Result<std::vector<recommend::RecommendationList>> results =
-      InternalError("batch not served");
-  if (options_.parallel_batches && provenance_ != nullptr) {
-    // Parallel with an audit trail: every worker traces into a private
-    // scratch store, then the scratches splice into the attached store
-    // in request order — the same records, ids and order a sequential
-    // batch would have produced.
-    std::vector<provenance::ProvenanceStore> scratch(n);
-    std::vector<Result<recommend::RecommendationList>> slots(
-        n, Result<recommend::RecommendationList>(
-               InternalError("request not served")));
-    engine_.pool().ParallelFor(n, [&](size_t i) {
-      Status user_alive = CheckDeadline(deadline, "batch scoring", 1);
-      if (!user_alive.ok()) {
-        slots[i] = user_alive;
-        return;
-      }
-      slots[i] =
-          recommender_.RecommendForUser(*state, *profiles[i], &scratch[i]);
-    });
-    // Merge before error handling: a sequential batch records every
-    // request's trail even when one of them fails.
-    const std::vector<provenance::RecordId> bases =
-        MergeScratchTraces(scratch);
-    std::vector<recommend::RecommendationList> lists;
-    lists.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (!slots[i].ok()) return slots[i].status();
-      RebaseTrail(*slots[i], bases[i]);
-      lists.push_back(std::move(slots[i]).value());
+
+  // Every run traces into a private scratch store, so runs never share
+  // the attached store; ParallelFor runs a single request inline.
+  std::vector<provenance::ProvenanceStore> scratch(
+      provenance_ != nullptr ? n : 0);
+  std::vector<Result<recommend::RecommendationList>> slots(
+      n, Result<recommend::RecommendationList>(
+             InternalError("request not served")));
+  engine_.pool().ParallelFor(n, [&](size_t i) {
+    Status run_alive = CheckDeadline(deadline, "scoring", 1);
+    if (!run_alive.ok()) {
+      slots[i] = run_alive;
+      return;
     }
-    results = std::move(lists);
-  } else {
-    results = ServeAll(n, options_.parallel_batches, engine_.pool(),
-                       [&](size_t i) -> Result<recommend::RecommendationList> {
-                         Status user_alive =
-                             CheckDeadline(deadline, "batch scoring", 1);
-                         if (!user_alive.ok()) return user_alive;
-                         return recommender_.RecommendForUser(*state,
-                                                              *profiles[i]);
-                       });
-  }
-  if (results.ok() && degraded) {
-    for (recommend::RecommendationList& list : *results) {
-      list.degraded = true;
+    provenance::ProvenanceStore* trace =
+        scratch.empty() ? nullptr : &scratch[i];
+    if constexpr (kGroup) {
+      slots[i] = recommender_.RecommendForGroup(*state, *principals[i], trace);
+    } else {
+      slots[i] = recommender_.RecommendForUser(*state, *principals[i], trace);
     }
-    CountDegradedServes(results->size());
+  });
+  // Splice before error handling: a sequential run records every
+  // request's trail even when one of them fails.
+  std::vector<provenance::RecordId> bases(n, 0);
+  if (!scratch.empty()) {
+    auto spliced = SpliceTraces(scratch);
+    if (!spliced.ok()) return spliced.status();
+    bases = std::move(spliced).value();
   }
-  if (results.ok() && brownout) {
-    for (recommend::RecommendationList& list : *results) {
-      list.brownout = true;
-    }
-    CountBrownoutServes(results->size());
+  std::vector<recommend::RecommendationList> lists;
+  lists.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (!slots[i].ok()) return slots[i].status();
+    RebaseTrail(*slots[i], bases[i]);
+    slots[i]->degraded = degraded;
+    slots[i]->brownout = brownout;
+    lists.push_back(std::move(slots[i]).value());
   }
+  if (degraded) CountDegradedServes(n);
+  if (brownout) CountBrownoutServes(n);
   // Every request in the batch completed when the batch did: n samples
   // of the batch's wall time is each request's observed latency.
-  if (results.ok()) read_latency_.RecordN(env_->NowMicros() - start, n);
-  return results;
+  read_latency_.RecordN(env_->NowMicros() - start, n);
+  return lists;
+}
+
+Result<recommend::RecommendationList> RecommendationService::Recommend(
+    const version::KbView& view, version::VersionId v1, version::VersionId v2,
+    profile::HumanProfile& prof, const RequestBudget& budget) {
+  profile::HumanProfile* const one = &prof;
+  return OnlyResult(
+      Serve<profile::HumanProfile>(view, v1, v2, {&one, 1}, budget));
+}
+
+Result<recommend::RecommendationList> RecommendationService::RecommendGroup(
+    const version::KbView& view, version::VersionId v1, version::VersionId v2,
+    profile::Group& group, const RequestBudget& budget) {
+  profile::Group* const one = &group;
+  return OnlyResult(Serve<profile::Group>(view, v1, v2, {&one, 1}, budget));
 }
 
 Result<std::vector<recommend::RecommendationList>>
-RecommendationService::RecommendGroupBatch(
-    const version::VersionedKnowledgeBase& vkb, version::VersionId v1,
-    version::VersionId v2, const std::vector<profile::Group*>& groups,
+RecommendationService::RecommendBatch(
+    const version::KbView& view, version::VersionId v1, version::VersionId v2,
+    const std::vector<profile::HumanProfile*>& profiles,
     const RequestBudget& budget) {
-  version::SingleKbView view(vkb);
-  return RecommendGroupBatch(view, v1, v2, groups, budget);
+  return Serve<profile::HumanProfile>(view, v1, v2, profiles, budget);
 }
 
 Result<std::vector<recommend::RecommendationList>>
 RecommendationService::RecommendGroupBatch(
     const version::KbView& view, version::VersionId v1, version::VersionId v2,
     const std::vector<profile::Group*>& groups, const RequestBudget& budget) {
-  for (profile::Group* group : groups) {
-    if (group == nullptr) {
-      return InvalidArgumentError("RecommendGroupBatch: null group");
-    }
-  }
-  const uint64_t start = env_->NowMicros();
-  const size_t n = groups.size();
-  auto ticket = AdmitOrShed(AdmissionLane::kPriority, budget, n);
-  if (!ticket.ok()) return ticket.status();
-  const Deadline deadline = EffectiveDeadline(budget);
-  Status alive = CheckDeadline(deadline, "context build", n);
-  if (!alive.ok()) return alive;
-  bool brownout = false;
-  const measures::ContextOptions& context = PickContext(&brownout);
-  std::shared_ptr<const recommend::SharedRunState> state;
-  bool degraded = false;
-  auto evaluation = WarmOrFallback(view, v1, v2, context, &state, &degraded);
-  if (!evaluation.ok()) return evaluation.status();
-  Result<std::vector<recommend::RecommendationList>> results =
-      InternalError("batch not served");
-  if (options_.parallel_batches && provenance_ != nullptr) {
-    std::vector<provenance::ProvenanceStore> scratch(n);
-    std::vector<Result<recommend::RecommendationList>> slots(
-        n, Result<recommend::RecommendationList>(
-               InternalError("request not served")));
-    engine_.pool().ParallelFor(n, [&](size_t i) {
-      Status group_alive = CheckDeadline(deadline, "batch scoring", 1);
-      if (!group_alive.ok()) {
-        slots[i] = group_alive;
-        return;
-      }
-      slots[i] =
-          recommender_.RecommendForGroup(*state, *groups[i], &scratch[i]);
-    });
-    const std::vector<provenance::RecordId> bases =
-        MergeScratchTraces(scratch);
-    std::vector<recommend::RecommendationList> lists;
-    lists.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (!slots[i].ok()) return slots[i].status();
-      RebaseTrail(*slots[i], bases[i]);
-      lists.push_back(std::move(slots[i]).value());
-    }
-    results = std::move(lists);
-  } else {
-    results = ServeAll(n, options_.parallel_batches, engine_.pool(),
-                       [&](size_t i) -> Result<recommend::RecommendationList> {
-                         Status group_alive =
-                             CheckDeadline(deadline, "batch scoring", 1);
-                         if (!group_alive.ok()) return group_alive;
-                         return recommender_.RecommendForGroup(*state,
-                                                               *groups[i]);
-                       });
-  }
-  if (results.ok() && degraded) {
-    for (recommend::RecommendationList& list : *results) {
-      list.degraded = true;
-    }
-    CountDegradedServes(results->size());
-  }
-  if (results.ok() && brownout) {
-    for (recommend::RecommendationList& list : *results) {
-      list.brownout = true;
-    }
-    CountBrownoutServes(results->size());
-  }
-  if (results.ok()) read_latency_.RecordN(env_->NowMicros() - start, n);
-  return results;
+  return Serve<profile::Group>(view, v1, v2, groups, budget);
 }
 
 }  // namespace evorec::engine

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,7 +21,6 @@
 #include "provenance/store.h"
 #include "recommend/recommender.h"
 #include "version/kb_view.h"
-#include "version/versioned_kb.h"
 
 namespace evorec::engine {
 
@@ -61,12 +61,6 @@ struct ServiceOptions {
   recommend::RecommenderOptions recommender;
   EngineOptions engine;
   measures::ContextOptions context;
-  /// Run the per-user stages of a batch on the engine's thread pool.
-  /// Works with a provenance store attached too: each worker traces
-  /// into a private scratch store and the service splices the
-  /// scratches into the attached store in request order, so the audit
-  /// trail is byte-identical to a sequential run.
-  bool parallel_batches = true;
   /// The clock/environment behind the latency recorders, deadlines,
   /// admission control and the commit circuit breaker. nullptr means
   /// Env::Default(); tests inject a FaultInjectionEnv so time is
@@ -137,66 +131,56 @@ struct ServiceHealth {
 /// per user. Batches are byte-identical to sequential per-user
 /// Recommend calls with the same inputs.
 ///
+/// Every read entry point funnels into one serving core: a single
+/// request is a batch of one, and user vs group only picks the
+/// admission lane and the recommender pipeline. Every entry point takes
+/// a version::KbView — a VersionedKnowledgeBase, or a
+/// version::ShardedKnowledgeBase whose snapshot pins run lock-free, so
+/// reads proceed at full fan-out while a concurrent Commit lands.
+///
 /// Thread-compatible: one service may serve concurrent callers, but
 /// each HumanProfile/Group may only appear in one in-flight request at
-/// a time (delivery mutates the profile's seen-history).
+/// a time (delivery mutates the profile's seen-history). A request
+/// that names one principal twice fails with kInvalidArgument before
+/// any work.
 class RecommendationService {
  public:
   /// `registry` must outlive the service.
   explicit RecommendationService(const measures::MeasureRegistry& registry,
                                  ServiceOptions options = {});
 
-  /// Attaches a provenance store recording every run's stages. Batches
-  /// stay parallel while attached: workers trace into scratch stores
-  /// that merge back in deterministic request order (see
-  /// ServiceOptions::parallel_batches). Pass nullptr to detach.
+  /// Attaches a provenance store recording every run's stages. Each run
+  /// traces into a private scratch store; one splice per request,
+  /// serialised across concurrent requests, appends the scratches in
+  /// request order with rebased ids — byte-identical to tracing the
+  /// runs sequentially in place, and every run's trail stays
+  /// contiguous. Batches stay parallel while attached. Pass nullptr to
+  /// detach (not while serving).
   void AttachProvenance(provenance::ProvenanceStore* store);
 
   /// Attaches strict access rules applied before scoring. Pass nullptr
   /// to detach.
   void AttachAccessPolicy(const anonymity::AccessPolicy* policy);
 
-  /// Recommends to one human about versions (v1, v2) of `vkb`, reusing
-  /// the cached shared evaluation when warm.
-  Result<recommend::RecommendationList> Recommend(
-      const version::VersionedKnowledgeBase& vkb, version::VersionId v1,
-      version::VersionId v2, profile::HumanProfile& prof,
-      const RequestBudget& budget = {});
-
-  /// KbView flavour — every vkb entry point below has one; serving a
-  /// version::ShardedKnowledgeBase through these runs snapshot pins
-  /// lock-free, so reads proceed at full fan-out while a concurrent
-  /// Commit lands.
+  /// Recommends to one human about versions (v1, v2) of `view`,
+  /// reusing the cached shared evaluation when warm.
   Result<recommend::RecommendationList> Recommend(
       const version::KbView& view, version::VersionId v1,
       version::VersionId v2, profile::HumanProfile& prof,
       const RequestBudget& budget = {});
 
-  /// Recommends one shared package to a group.
-  Result<recommend::RecommendationList> RecommendGroup(
-      const version::VersionedKnowledgeBase& vkb, version::VersionId v1,
-      version::VersionId v2, profile::Group& group,
-      const RequestBudget& budget = {});
-
-  /// KbView flavour of RecommendGroup.
+  /// Recommends one shared package to a group. Group requests enter
+  /// admission on the priority lane.
   Result<recommend::RecommendationList> RecommendGroup(
       const version::KbView& view, version::VersionId v1,
       version::VersionId v2, profile::Group& group,
       const RequestBudget& budget = {});
 
   /// Serves many users against one version pair: the shared evaluation
-  /// is built (or fetched) once, then the per-user stages run — in
-  /// parallel on the engine's pool unless a provenance store is
-  /// attached or parallel_batches is off. results[i] corresponds to
-  /// profiles[i]; profiles must be distinct objects. Fails on the
-  /// first per-user failure.
-  Result<std::vector<recommend::RecommendationList>> RecommendBatch(
-      const version::VersionedKnowledgeBase& vkb, version::VersionId v1,
-      version::VersionId v2,
-      const std::vector<profile::HumanProfile*>& profiles,
-      const RequestBudget& budget = {});
-
-  /// KbView flavour of RecommendBatch.
+  /// is built (or fetched) once, then the per-user stages run in
+  /// parallel on the engine's pool. results[i] corresponds to
+  /// profiles[i]; profiles must be distinct, non-null objects
+  /// (kInvalidArgument otherwise). Fails on the first per-user failure.
   Result<std::vector<recommend::RecommendationList>> RecommendBatch(
       const version::KbView& view, version::VersionId v1,
       version::VersionId v2,
@@ -204,12 +188,6 @@ class RecommendationService {
       const RequestBudget& budget = {});
 
   /// Group flavour of RecommendBatch.
-  Result<std::vector<recommend::RecommendationList>> RecommendGroupBatch(
-      const version::VersionedKnowledgeBase& vkb, version::VersionId v1,
-      version::VersionId v2, const std::vector<profile::Group*>& groups,
-      const RequestBudget& budget = {});
-
-  /// KbView flavour of RecommendGroupBatch.
   Result<std::vector<recommend::RecommendationList>> RecommendGroupBatch(
       const version::KbView& view, version::VersionId v1,
       version::VersionId v2, const std::vector<profile::Group*>& groups,
@@ -222,14 +200,10 @@ class RecommendationService {
   /// half: version::RecoverFromDisk restores a KB with its original
   /// content fingerprints, so the keys warmed here are the exact keys
   /// the pre-restart process was serving under.
-  Status WarmStart(const version::VersionedKnowledgeBase& vkb,
-                   version::VersionId v1, version::VersionId v2);
-
-  /// KbView flavour of WarmStart.
   Status WarmStart(const version::KbView& view, version::VersionId v1,
                    version::VersionId v2);
 
-  /// The serving loop's write path: commits `changes` to `vkb` and
+  /// The serving loop's write path: commits `changes` to `view` and
   /// incrementally refreshes the engine so the head transition is warm
   /// — context, every measure report, and the recommender's shared run
   /// state — before this returns. Requests racing the refresh simply
@@ -241,16 +215,10 @@ class RecommendationService {
   /// HealthState::kDegraded — the commit is not in the history, the
   /// engine's pinned last-good state keeps serving — and the next
   /// successful Commit flips it back to kHealthy.
-  Result<version::VersionId> Commit(version::VersionedKnowledgeBase& vkb,
-                                    version::ChangeSet changes,
-                                    std::string author, std::string message,
-                                    uint64_t timestamp = 0,
-                                    const RequestBudget& budget = {});
-
-  /// KbView flavour of Commit. With an internally synchronised view
-  /// (a ShardedKnowledgeBase) the commit never takes the engine's vkb
-  /// lock, so concurrent reads through this service keep flowing
-  /// while it lands.
+  ///
+  /// With an internally synchronised view (a ShardedKnowledgeBase) the
+  /// commit never takes the engine's vkb lock, so concurrent reads
+  /// through this service keep flowing while it lands.
   Result<version::VersionId> Commit(version::KbView& view,
                                     version::ChangeSet changes,
                                     std::string author, std::string message,
@@ -291,6 +259,19 @@ class RecommendationService {
   Env* env() const { return env_; }
 
  private:
+  /// The one read path behind Recommend, RecommendGroup and their
+  /// batch flavours (Principal is profile::HumanProfile or
+  /// profile::Group): rejects null or repeated principals, admits the
+  /// request, fetches the shared evaluation once, runs the per-principal
+  /// stages on the engine's pool — each into a private scratch trace
+  /// when a store is attached — and splices the traces. results[i]
+  /// corresponds to principals[i].
+  template <typename Principal>
+  Result<std::vector<recommend::RecommendationList>> Serve(
+      const version::KbView& view, version::VersionId v1,
+      version::VersionId v2, std::span<Principal* const> principals,
+      const RequestBudget& budget);
+
   Result<std::shared_ptr<const SharedEvaluation>> Warm(
       const version::KbView& view, version::VersionId v1,
       version::VersionId v2, const measures::ContextOptions& context,
@@ -333,12 +314,14 @@ class RecommendationService {
 
   void CountBrownoutServes(uint64_t n);
 
-  /// Splices per-request scratch provenance stores into the attached
-  /// store in request order, rebasing record ids — byte-identical to
-  /// tracing the requests sequentially in-place. Returns each
-  /// request's id base (what to add to its scratch-relative ids).
-  std::vector<provenance::RecordId> MergeScratchTraces(
-      std::vector<provenance::ProvenanceStore>& scratch);
+  /// Splices per-run scratch provenance stores into the attached store
+  /// in order, rebasing record ids — byte-identical to tracing the runs
+  /// sequentially in place. Serialised under provenance_mu_, so
+  /// concurrent requests never interleave records. Returns each run's
+  /// id base (what to add to its scratch-relative ids), or the first
+  /// failed Append's status.
+  Result<std::vector<provenance::RecordId>> SpliceTraces(
+      const std::vector<provenance::ProvenanceStore>& scratch);
 
   void MarkCommitFailed(const Status& status);
   void MarkCommitSucceeded();
@@ -349,6 +332,8 @@ class RecommendationService {
   EvaluationEngine engine_;
   recommend::Recommender recommender_;
   provenance::ProvenanceStore* provenance_ = nullptr;
+  // Serialises SpliceTraces: the attached store is not thread-safe.
+  std::mutex provenance_mu_;
   AdmissionController admission_;
   CircuitBreaker breaker_;
   BrownoutController brownout_;

@@ -125,12 +125,7 @@ Result<RecommendationList> Recommender::RecommendForUser(
   // normalisation/distances, so don't build them for one run.
   auto shared = policy_ == nullptr ? PrepareShared(ctx) : PreparePool(ctx);
   if (!shared.ok()) return shared.status();
-  return RecommendForUser(*shared, prof);
-}
-
-Result<RecommendationList> Recommender::RecommendForUser(
-    const SharedRunState& shared, profile::HumanProfile& prof) const {
-  return RecommendForUser(shared, prof, provenance_);
+  return RecommendForUser(*shared, prof, provenance_);
 }
 
 Result<RecommendationList> Recommender::RecommendForUser(
@@ -229,12 +224,7 @@ Result<RecommendationList> Recommender::RecommendForGroup(
   // reads the shared normalisation/distances — skip building them.
   auto shared = PreparePool(ctx);
   if (!shared.ok()) return shared.status();
-  return RecommendForGroup(*shared, group);
-}
-
-Result<RecommendationList> Recommender::RecommendForGroup(
-    const SharedRunState& shared, profile::Group& group) const {
-  return RecommendForGroup(shared, group, provenance_);
+  return RecommendForGroup(*shared, group, provenance_);
 }
 
 Result<RecommendationList> Recommender::RecommendForGroup(

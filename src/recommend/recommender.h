@@ -103,8 +103,9 @@ class Recommender {
   Recommender(const measures::MeasureRegistry& registry,
               RecommenderOptions options = {});
 
-  /// Attaches a provenance store; every subsequent run records its
-  /// stages (transparency, §III.b). Pass nullptr to detach.
+  /// Attaches a provenance store; every subsequent context-path run
+  /// records its stages (transparency, §III.b). Shared-state runs trace
+  /// into the store they are passed instead. Pass nullptr to detach.
   void AttachProvenance(provenance::ProvenanceStore* store);
 
   /// Attaches strict access rules applied before scoring (§III.e).
@@ -112,13 +113,9 @@ class Recommender {
   void AttachAccessPolicy(const anonymity::AccessPolicy* policy);
 
   /// Builds the user-independent shared state for `ctx` by computing
-  /// every measure through the registry. Includes the scoring/
-  /// selection accelerators (normalised reports, distance matrix);
-  /// PreparePool builds only the candidate pool for pipelines that
-  /// don't read them (group runs, gated per-call runs).
+  /// every measure through the registry, including the scoring/
+  /// selection accelerators (normalised reports, distance matrix).
   Result<SharedRunState> PrepareShared(
-      const measures::EvolutionContext& ctx) const;
-  Result<SharedRunState> PreparePool(
       const measures::EvolutionContext& ctx) const;
 
   /// Builds the shared state from already-computed whole-KB reports
@@ -130,38 +127,32 @@ class Recommender {
       const std::vector<std::shared_ptr<const measures::MeasureReport>>&
           reports) const;
 
-  /// Recommends a measure package to one human. Mutates `prof` only to
-  /// record the delivered terms (when options().record_seen).
+  /// Recommends a measure package to one human, tracing into the
+  /// attached store. Mutates `prof` only to record the delivered terms
+  /// (when options().record_seen).
   Result<RecommendationList> RecommendForUser(
       const measures::EvolutionContext& ctx,
       profile::HumanProfile& prof) const;
 
-  /// Serving path: same pipeline over a prepared shared state. Safe to
-  /// call concurrently for distinct profiles against one state (the
-  /// per-run stages work on a copy of the pool), and byte-identical to
-  /// the context overload given equivalent shared state.
-  Result<RecommendationList> RecommendForUser(
-      const SharedRunState& shared, profile::HumanProfile& prof) const;
-
-  /// Serving path with an explicit trace store overriding the attached
-  /// one — the parallel-batch hook: each worker traces into a private
-  /// scratch store (workflow timestamps are per-run logical clocks, so
-  /// a scratch trace is byte-identical to an in-place one) and the
-  /// batch layer splices the scratches back in deterministic order.
-  /// nullptr runs untraced.
+  /// Serving path: the same pipeline over a prepared shared state,
+  /// tracing into `trace` (nullptr runs untraced). Safe to call
+  /// concurrently for distinct profiles against one state with
+  /// distinct trace stores (the per-run stages work on a copy of the
+  /// pool), and byte-identical to the context path given equivalent
+  /// shared state. Workflow timestamps are per-run logical clocks, so
+  /// a trace into a private scratch store is the in-place trace with
+  /// ids rebased — what lets a serving layer splice scratches back in
+  /// deterministic order.
   Result<RecommendationList> RecommendForUser(
       const SharedRunState& shared, profile::HumanProfile& prof,
       provenance::ProvenanceStore* trace) const;
 
-  /// Recommends one shared package to a group (§III.d).
+  /// Recommends one shared package to a group (§III.d), tracing into
+  /// the attached store.
   Result<RecommendationList> RecommendForGroup(
       const measures::EvolutionContext& ctx, profile::Group& group) const;
 
-  /// Serving path of the group pipeline over a prepared shared state.
-  Result<RecommendationList> RecommendForGroup(
-      const SharedRunState& shared, profile::Group& group) const;
-
-  /// Group flavour of the explicit-trace serving path.
+  /// Group flavour of the shared-state serving path.
   Result<RecommendationList> RecommendForGroup(
       const SharedRunState& shared, profile::Group& group,
       provenance::ProvenanceStore* trace) const;
@@ -170,6 +161,11 @@ class Recommender {
   const measures::MeasureRegistry& registry() const { return registry_; }
 
  private:
+  /// The candidate pool alone, for context-path runs that don't read
+  /// the shared accelerators (group runs, gated runs).
+  Result<SharedRunState> PreparePool(
+      const measures::EvolutionContext& ctx) const;
+
   const measures::MeasureRegistry& registry_;
   RecommenderOptions options_;
   provenance::ProvenanceStore* provenance_ = nullptr;

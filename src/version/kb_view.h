@@ -4,22 +4,42 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 
 #include "common/result.h"
 #include "rdf/knowledge_base.h"
 #include "version/version.h"
-#include "version/versioned_kb.h"
 
 namespace evorec::version {
+
+/// A cheap, copyable reference to one version of a KbView — the
+/// cache-key currency of the engine layer. The fingerprint is a hash
+/// chained over the base snapshot and every committed change set,
+/// folding the *serialised term content* of each triple in TermId
+/// order. Equal fingerprints therefore denote snapshots with identical
+/// content AND an identical TermId mapping — exactly the equivalence
+/// cached evaluations need, since their consumers (profiles, reports)
+/// speak TermIds. Distinct VersionedKnowledgeBase instances share
+/// fingerprints when their histories are identical (same operations,
+/// same intern order, e.g. regenerated from one seed); content-equal
+/// KBs interned in a different order fingerprint differently, which is
+/// a safe cache miss, never a wrong hit.
+struct SnapshotHandle {
+  VersionId id = 0;
+  uint64_t fingerprint = 0;
+
+  friend bool operator==(const SnapshotHandle& a, const SnapshotHandle& b) {
+    return a.fingerprint == b.fingerprint;
+  }
+};
 
 /// The engine-facing surface of a versioned knowledge base: everything
 /// EvaluationEngine / RecommendationService need to serve and commit —
 /// cheap fingerprint handles for cache keys, pinned immutable
 /// snapshots, archived change sets, and the head pointer. Implemented
-/// by SingleKbView (one VersionedKnowledgeBase behind the engine's
-/// lock) and ShardedKnowledgeBase (N segmented shards, internally
-/// synchronised, so readers never block on the writer).
+/// by VersionedKnowledgeBase itself (not internally synchronised: the
+/// engine serialises every call under its vkb lock) and by
+/// ShardedKnowledgeBase (N segmented shards, internally synchronised,
+/// so readers never block on the writer).
 class KbView {
  public:
   virtual ~KbView() = default;
@@ -43,10 +63,12 @@ class KbView {
   /// The change set that produced `v` from `v-1` (version 0 has none).
   virtual Result<ChangeSet> Changes(VersionId v) const = 0;
 
-  /// Applies `changes` on top of the head, creating a new version.
+  /// Applies `changes` on top of the head, creating a new version, and
+  /// returns its id. Empty change sets are legal (a no-op commit).
+  /// Pass an rvalue to archive the change set without copying it.
   virtual Result<VersionId> Commit(ChangeSet changes, std::string author,
                                    std::string message,
-                                   uint64_t timestamp) = 0;
+                                   uint64_t timestamp = 0) = 0;
 
   /// True when the implementation serialises its own internal state.
   /// The engine then calls this view concurrently from readers and the
@@ -55,58 +77,13 @@ class KbView {
   /// on the implementation pinning immutable snapshots instead of
   /// handing out references into mutable state.
   virtual bool InternallySynchronized() const = 0;
-};
 
-/// Adapter exposing one VersionedKnowledgeBase as a KbView. Not
-/// internally synchronised: the engine serialises every call under its
-/// vkb lock, exactly as it always did for a bare
-/// VersionedKnowledgeBase. Stack-constructed per call; the wrapped KB
-/// must outlive the adapter.
-class SingleKbView final : public KbView {
- public:
-  /// Read-write adapter (Commit allowed).
-  explicit SingleKbView(VersionedKnowledgeBase& vkb)
-      : vkb_(&vkb), mutable_vkb_(&vkb) {}
-  /// Read-only adapter (Commit fails with FAILED_PRECONDITION).
-  explicit SingleKbView(const VersionedKnowledgeBase& vkb) : vkb_(&vkb) {}
-
-  size_t version_count() const override { return vkb_->version_count(); }
-  VersionId head() const override { return vkb_->head(); }
-
-  Result<SnapshotHandle> Handle(VersionId v) const override {
-    return vkb_->Handle(v);
-  }
-
-  Result<std::shared_ptr<const rdf::KnowledgeBase>> SharedSnapshot(
-      VersionId v) const override {
-    auto kb = vkb_->Snapshot(v);
-    if (!kb.ok()) return kb.status();
-    // A segmented store copy shares frozen segments — O(#segments),
-    // not O(triples) — and the copy detaches the snapshot from the
-    // vkb's lazy cache so the caller may hold it across eviction.
-    return std::make_shared<const rdf::KnowledgeBase>(**kb);
-  }
-
-  Result<ChangeSet> Changes(VersionId v) const override {
-    return vkb_->Changes(v);
-  }
-
-  Result<VersionId> Commit(ChangeSet changes, std::string author,
-                           std::string message, uint64_t timestamp) override {
-    if (mutable_vkb_ == nullptr) {
-      return FailedPreconditionError(
-          "KbView wraps a const VersionedKnowledgeBase; commits need the "
-          "mutable adapter");
-    }
-    return mutable_vkb_->Commit(std::move(changes), std::move(author),
-                                std::move(message), timestamp);
-  }
-
-  bool InternallySynchronized() const override { return false; }
-
- private:
-  const VersionedKnowledgeBase* vkb_;
-  VersionedKnowledgeBase* mutable_vkb_ = nullptr;
+ protected:
+  KbView() = default;
+  KbView(const KbView&) = default;
+  KbView& operator=(const KbView&) = default;
+  KbView(KbView&&) = default;
+  KbView& operator=(KbView&&) = default;
 };
 
 }  // namespace evorec::version

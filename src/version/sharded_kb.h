@@ -83,7 +83,8 @@ class ShardedKnowledgeBase final : public KbView {
       VersionId v) const override;
   Result<ChangeSet> Changes(VersionId v) const override;
   Result<VersionId> Commit(ChangeSet changes, std::string author,
-                           std::string message, uint64_t timestamp) override;
+                           std::string message,
+                           uint64_t timestamp = 0) override;
   bool InternallySynchronized() const override { return true; }
 
   /// Commit metadata for `v`.

@@ -132,15 +132,7 @@ ChangeSet NetChanges(const rdf::KnowledgeBase& base, const ChangeSet& changes) {
   return net;
 }
 
-Result<VersionId> VersionedKnowledgeBase::Commit(const ChangeSet& changes,
-                                                 std::string author,
-                                                 std::string message,
-                                                 uint64_t timestamp) {
-  return Commit(ChangeSet(changes), std::move(author), std::move(message),
-                timestamp);
-}
-
-Result<VersionId> VersionedKnowledgeBase::Commit(ChangeSet&& changes,
+Result<VersionId> VersionedKnowledgeBase::Commit(ChangeSet changes,
                                                  std::string author,
                                                  std::string message,
                                                  uint64_t timestamp) {
@@ -298,6 +290,13 @@ Result<const rdf::KnowledgeBase*> VersionedKnowledgeBase::Snapshot(
     it = cache_.emplace(v, std::move(materialized).value()).first;
   }
   return &it->second;
+}
+
+Result<std::shared_ptr<const rdf::KnowledgeBase>>
+VersionedKnowledgeBase::SharedSnapshot(VersionId v) const {
+  auto kb = Snapshot(v);
+  if (!kb.ok()) return kb.status();
+  return std::make_shared<const rdf::KnowledgeBase>(**kb);
 }
 
 void VersionedKnowledgeBase::EvictSnapshotCache() const { cache_.clear(); }

@@ -11,31 +11,10 @@
 #include "common/result.h"
 #include "rdf/knowledge_base.h"
 #include "storage/commit_log.h"
+#include "version/kb_view.h"
 #include "version/version.h"
 
 namespace evorec::version {
-
-/// A cheap, copyable reference to one version of a
-/// VersionedKnowledgeBase — the cache-key currency of the engine
-/// layer. The fingerprint is a hash chained over the base snapshot
-/// and every committed change set, folding the *serialised term
-/// content* of each triple in TermId order. Equal fingerprints
-/// therefore denote snapshots with identical content AND an identical
-/// TermId mapping — exactly the equivalence cached evaluations need,
-/// since their consumers (profiles, reports) speak TermIds. Distinct
-/// VersionedKnowledgeBase instances share fingerprints when their
-/// histories are identical (same operations, same intern order, e.g.
-/// regenerated from one seed); content-equal KBs interned in a
-/// different order fingerprint differently, which is a safe cache
-/// miss, never a wrong hit.
-struct SnapshotHandle {
-  VersionId id = 0;
-  uint64_t fingerprint = 0;
-
-  friend bool operator==(const SnapshotHandle& a, const SnapshotHandle& b) {
-    return a.fingerprint == b.fingerprint;
-  }
-};
 
 /// The net effect of applying `changes` on top of `base`, with
 /// ChangeSet semantics (removals win over additions of the same
@@ -50,8 +29,10 @@ ChangeSet NetChanges(const rdf::KnowledgeBase& base, const ChangeSet& changes);
 /// invariant every evolution measure depends on.
 ///
 /// Storage follows the configured ArchivePolicy; snapshots are
-/// materialised lazily and cached. Not thread-safe.
-class VersionedKnowledgeBase {
+/// materialised lazily and cached. Not thread-safe: as a KbView it
+/// reports InternallySynchronized() == false, so the engine serialises
+/// every call under its vkb lock.
+class VersionedKnowledgeBase final : public KbView {
  public:
   /// Creates a KB whose version 0 is empty. `checkpoint_interval`
   /// applies to kHybridCheckpoint only (a full snapshot every that
@@ -82,14 +63,11 @@ class VersionedKnowledgeBase {
 
   /// Applies `changes` on top of the head version, creating a new
   /// version. Returns the new version id. Empty change sets are legal
-  /// (they record a no-op commit).
-  Result<VersionId> Commit(const ChangeSet& changes, std::string author,
-                           std::string message, uint64_t timestamp = 0);
-
-  /// Move overload: archives `changes` without copying the triple
-  /// vectors (the common case for generated or streamed change sets).
-  Result<VersionId> Commit(ChangeSet&& changes, std::string author,
-                           std::string message, uint64_t timestamp = 0);
+  /// (they record a no-op commit). The set is archived as passed, so an
+  /// rvalue argument lands without copying the triple vectors.
+  Result<VersionId> Commit(ChangeSet changes, std::string author,
+                           std::string message,
+                           uint64_t timestamp = 0) override;
 
   /// Attaches an append-only commit log: every subsequent Commit
   /// first appends a storage::DeltaRecord — write-ahead, so a failed
@@ -109,10 +87,10 @@ class VersionedKnowledgeBase {
   storage::CommitLog* commit_log() const { return log_; }
 
   /// Number of versions (head id + 1).
-  size_t version_count() const { return infos_.size(); }
+  size_t version_count() const override { return infos_.size(); }
 
   /// Id of the latest version.
-  VersionId head() const {
+  VersionId head() const override {
     return static_cast<VersionId>(infos_.size() - 1);
   }
 
@@ -123,16 +101,25 @@ class VersionedKnowledgeBase {
   /// never a store diff. Version 0 has no change set. Under
   /// kFullMaterialization it is reduced to its NetChanges (equal to
   /// the diff of the two stores).
-  Result<ChangeSet> Changes(VersionId v) const;
+  Result<ChangeSet> Changes(VersionId v) const override;
 
   /// Materialised snapshot of version `v` (cached; the reference stays
   /// valid until EvictSnapshotCache or destruction).
   Result<const rdf::KnowledgeBase*> Snapshot(VersionId v) const;
 
+  /// A copy of Snapshot(v) the caller owns. A segmented store copy
+  /// shares frozen segments — O(#segments), not O(triples) — and
+  /// detaches the snapshot from the lazy cache, so the caller may hold
+  /// it across EvictSnapshotCache and later commits.
+  Result<std::shared_ptr<const rdf::KnowledgeBase>> SharedSnapshot(
+      VersionId v) const override;
+
   /// Cheap handle to version `v` for cache keys — O(1), never
   /// materialises the snapshot (fingerprints are maintained
   /// incrementally at commit time).
-  Result<SnapshotHandle> Handle(VersionId v) const;
+  Result<SnapshotHandle> Handle(VersionId v) const override;
+
+  bool InternallySynchronized() const override { return false; }
 
   /// Reconstructs `v` without touching the cache — used by benches to
   /// measure reconstruction cost under kDeltaChain.
@@ -205,6 +192,11 @@ class VersionedKnowledgeBase {
   storage::CommitLog* log_ = nullptr;
   rdf::TermId logged_terms_ = 0;
 };
+
+/// Former name of the adapter VersionedKnowledgeBase now makes
+/// unnecessary; kept so `SingleKbView(vkb).SharedSnapshot(v)` still
+/// compiles.
+using SingleKbView = const VersionedKnowledgeBase&;
 
 }  // namespace evorec::version
 

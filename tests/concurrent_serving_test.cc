@@ -3,9 +3,9 @@
 // pin segment-list snapshots of a sharded KB and keep serving at full
 // fan-out while a committer lands new versions — without blocking on
 // the writer, without torn reads, and with results byte-identical to
-// an idle-store run. Also covers the parallel-batch provenance path:
-// scratch-store splicing must reproduce the sequential audit trail
-// record for record.
+// an idle-store run. Also covers the provenance path: scratch-store
+// splicing must reproduce the sequential audit trail record for record,
+// and concurrent single requests must keep every trail whole.
 
 #include <gtest/gtest.h>
 
@@ -248,24 +248,24 @@ TEST(ConcurrentServingProvenanceTest, ParallelTrailsMatchSequentialTrails) {
   recommend::RecommenderOptions rec_options;
   rec_options.package_size = 3;
 
-  // Sequential baseline.
+  // Sequential baseline: the context-path recommender tracing in place
+  // into its attached store, one user after the other.
   workload::Scenario baseline = SmallScenario(47);
   std::vector<profile::HumanProfile> baseline_profiles(
       baseline.curators.members());
   baseline_profiles.push_back(baseline.end_user);
-  std::vector<profile::HumanProfile*> baseline_pointers;
-  for (profile::HumanProfile& prof : baseline_profiles) {
-    baseline_pointers.push_back(&prof);
-  }
   provenance::ProvenanceStore sequential_store;
-  ServiceOptions sequential_options;
-  sequential_options.recommender = rec_options;
-  sequential_options.parallel_batches = false;
-  RecommendationService sequential_service(registry, sequential_options);
-  sequential_service.AttachProvenance(&sequential_store);
-  auto expected = sequential_service.RecommendBatch(*baseline.vkb, 0, 1,
-                                                    baseline_pointers);
-  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  recommend::Recommender sequential(registry, rec_options);
+  sequential.AttachProvenance(&sequential_store);
+  auto baseline_ctx =
+      measures::EvolutionContext::FromVersions(*baseline.vkb, 0, 1);
+  ASSERT_TRUE(baseline_ctx.ok()) << baseline_ctx.status().ToString();
+  std::vector<recommend::RecommendationList> expected;
+  for (profile::HumanProfile& prof : baseline_profiles) {
+    auto list = sequential.RecommendForUser(*baseline_ctx, prof);
+    ASSERT_TRUE(list.ok()) << list.status().ToString();
+    expected.push_back(std::move(list).value());
+  }
 
   // Parallel run over identical inputs.
   workload::Scenario scenario = SmallScenario(47);
@@ -276,7 +276,6 @@ TEST(ConcurrentServingProvenanceTest, ParallelTrailsMatchSequentialTrails) {
   provenance::ProvenanceStore parallel_store;
   ServiceOptions parallel_options;
   parallel_options.recommender = rec_options;
-  parallel_options.parallel_batches = true;
   parallel_options.engine.threads = 4;
   RecommendationService parallel_service(registry, parallel_options);
   parallel_service.AttachProvenance(&parallel_store);
@@ -285,14 +284,14 @@ TEST(ConcurrentServingProvenanceTest, ParallelTrailsMatchSequentialTrails) {
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
 
   // Results match, including the trail ids each list carries.
-  ASSERT_EQ(batch->size(), expected->size());
-  for (size_t i = 0; i < expected->size(); ++i) {
-    EXPECT_EQ((*batch)[i].provenance_trail, (*expected)[i].provenance_trail)
+  ASSERT_EQ(batch->size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ((*batch)[i].provenance_trail, expected[i].provenance_trail)
         << "user " << i;
-    ASSERT_EQ((*batch)[i].items.size(), (*expected)[i].items.size());
+    ASSERT_EQ((*batch)[i].items.size(), expected[i].items.size());
     for (size_t j = 0; j < (*batch)[i].items.size(); ++j) {
       EXPECT_EQ((*batch)[i].items[j].explanation.provenance_record,
-                (*expected)[i].items[j].explanation.provenance_record);
+                expected[i].items[j].explanation.provenance_record);
     }
   }
 
@@ -319,13 +318,13 @@ TEST(ConcurrentServingProvenanceTest, GroupBatchTrailsMatchSequential) {
 
   workload::Scenario baseline = SmallScenario(53);
   provenance::ProvenanceStore sequential_store;
-  ServiceOptions sequential_options;
-  sequential_options.parallel_batches = false;
-  RecommendationService sequential_service(registry, sequential_options);
-  sequential_service.AttachProvenance(&sequential_store);
-  std::vector<profile::Group*> baseline_groups{&baseline.curators};
-  auto expected = sequential_service.RecommendGroupBatch(*baseline.vkb, 0, 1,
-                                                         baseline_groups);
+  recommend::Recommender sequential(registry);
+  sequential.AttachProvenance(&sequential_store);
+  auto baseline_ctx =
+      measures::EvolutionContext::FromVersions(*baseline.vkb, 0, 1);
+  ASSERT_TRUE(baseline_ctx.ok()) << baseline_ctx.status().ToString();
+  auto expected =
+      sequential.RecommendForGroup(*baseline_ctx, baseline.curators);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   workload::Scenario scenario = SmallScenario(53);
@@ -339,14 +338,98 @@ TEST(ConcurrentServingProvenanceTest, GroupBatchTrailsMatchSequential) {
       parallel_service.RecommendGroupBatch(*scenario.vkb, 0, 1, groups);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
 
-  ASSERT_EQ(batch->size(), expected->size());
-  EXPECT_EQ((*batch)[0].provenance_trail, (*expected)[0].provenance_trail);
+  ASSERT_EQ(batch->size(), 1u);
+  EXPECT_EQ((*batch)[0].provenance_trail, expected->provenance_trail);
   ASSERT_EQ(parallel_store.size(), sequential_store.size());
   for (size_t i = 0; i < parallel_store.size(); ++i) {
     EXPECT_EQ(parallel_store.records()[i].activity,
               sequential_store.records()[i].activity);
     EXPECT_EQ(parallel_store.records()[i].inputs,
               sequential_store.records()[i].inputs);
+  }
+}
+
+// Single requests trace through the same scratch-and-splice path as
+// batches: concurrent Recommend and RecommendGroup calls on one service
+// with a store attached must leave every run's trail whole — each
+// record named for its own principal, in exactly one trail, and
+// derived only from records of its own run.
+TEST(ConcurrentServingProvenanceTest, ConcurrentSingleReadsKeepWholeTrails) {
+  measures::MeasureRegistry registry = measures::DefaultRegistry();
+  workload::Scenario scenario = SmallScenario(59);
+  ServiceOptions options;
+  options.recommender.package_size = 3;
+  RecommendationService service(registry, options);
+  provenance::ProvenanceStore store;
+  service.AttachProvenance(&store);
+
+  struct Served {
+    std::string run;  // the workflow name every trail record must carry
+    std::vector<provenance::RecordId> trail;
+  };
+  constexpr int kClients = 4;
+  constexpr int kRounds = 300;
+  std::vector<std::vector<Served>> served(kClients);
+  std::atomic<int> failures{0};
+  {
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        // Each client owns its principals: a profile may only be in one
+        // in-flight request at a time.
+        profile::HumanProfile prof = scenario.end_user;
+        prof.set_id("reader-" + std::to_string(c));
+        profile::Group group = scenario.curators;
+        for (int r = 0; r < kRounds; ++r) {
+          auto list = service.Recommend(*scenario.vkb, 0, 1, prof);
+          if (!list.ok()) {
+            ++failures;
+            continue;
+          }
+          served[c].push_back(
+              {"recommend_user/" + prof.id(), list->provenance_trail});
+          if (c != 0) continue;
+          auto shared = service.RecommendGroup(*scenario.vkb, 0, 1, group);
+          if (!shared.ok()) {
+            ++failures;
+            continue;
+          }
+          served[c].push_back(
+              {"recommend_group/" + group.id(), shared->provenance_trail});
+        }
+      });
+    }
+    for (std::thread& client : clients) client.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+
+  // owner[id] is the index of the run whose trail holds record `id`.
+  std::vector<int> owner(store.size(), -1);
+  size_t trail_records = 0;
+  int run = 0;
+  for (const std::vector<Served>& client : served) {
+    for (const Served& s : client) {
+      ASSERT_FALSE(s.trail.empty());
+      trail_records += s.trail.size();
+      for (provenance::RecordId id : s.trail) {
+        ASSERT_LT(id, store.size());
+        EXPECT_EQ(store.records()[id].activity.rfind(s.run + "/", 0), 0u)
+            << "record " << id << " is " << store.records()[id].activity
+            << ", expected a " << s.run << " stage";
+        EXPECT_EQ(owner[id], -1) << "record " << id << " in two trails";
+        owner[id] = run;
+      }
+      ++run;
+    }
+  }
+  EXPECT_EQ(store.size(), trail_records);
+  for (const provenance::ProvRecord& record : store.records()) {
+    for (provenance::RecordId input : record.inputs) {
+      ASSERT_LT(input, store.size());
+      EXPECT_EQ(owner[input], owner[record.id])
+          << "record " << record.id << " derives from another run's "
+          << input;
+    }
   }
 }
 

@@ -246,15 +246,13 @@ TEST(DegradedServiceTest, ReadersNeverGoDarkWhileCommitsFlap) {
 }
 
 // Regression: RecommendationList::degraded must propagate through
-// every RecommendBatch fan-out flavour, not just the single-request
-// path — the parallel scratch-provenance batch, the plain parallel
-// ServeAll batch, and the group-batch fan-out all flag their results
+// batch fan-outs, not just single requests — user and group batches,
+// with and without a provenance store attached, all flag their results
 // while degraded, and all stop flagging after recovery.
 TEST(DegradedServiceTest, BatchFanOutPathsPropagateDegradedFlag) {
   DegradedFixture fx;
   ServiceOptions service_options;
   service_options.engine.threads = 4;
-  service_options.parallel_batches = true;
   RecommendationService service(fx.registry, service_options);
   provenance::ProvenanceStore store;
   service.AttachProvenance(&store);
@@ -298,7 +296,7 @@ TEST(DegradedServiceTest, BatchFanOutPathsPropagateDegradedFlag) {
   ASSERT_EQ(service.health_state(), HealthState::kDegraded);
   const uint64_t degraded_before = service.health().degraded_serves;
 
-  // Parallel batch through the scratch-provenance splice path.
+  // Parallel batch, traces spliced into the attached store.
   batch = service.RecommendBatch(fx.vkb, 0, 1, pointers);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   ASSERT_EQ(batch->size(), pointers.size());
@@ -307,7 +305,7 @@ TEST(DegradedServiceTest, BatchFanOutPathsPropagateDegradedFlag) {
   }
   EXPECT_GT(store.size(), 0u);
 
-  // Group-batch fan-out (scratch-provenance flavour).
+  // Group-batch fan-out, traced.
   group_batch = service.RecommendGroupBatch(fx.vkb, 0, 1, groups);
   ASSERT_TRUE(group_batch.ok()) << group_batch.status().ToString();
   ASSERT_EQ(group_batch->size(), groups.size());
@@ -315,7 +313,7 @@ TEST(DegradedServiceTest, BatchFanOutPathsPropagateDegradedFlag) {
     EXPECT_TRUE(list.degraded);
   }
 
-  // Plain parallel ServeAll fan-out (no provenance attached).
+  // The same fan-outs untraced (no provenance attached).
   service.AttachProvenance(nullptr);
   batch = service.RecommendBatch(fx.vkb, 0, 1, pointers);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();

@@ -54,6 +54,24 @@ void ExpectIdenticalLists(const recommend::RecommendationList& a,
   EXPECT_EQ(a.provenance_trail, b.provenance_trail);
 }
 
+// Record-for-record comparison of two provenance stores.
+void ExpectIdenticalStores(const provenance::ProvenanceStore& a,
+                           const provenance::ProvenanceStore& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    const provenance::ProvRecord& x = a.records()[i];
+    const provenance::ProvRecord& y = b.records()[i];
+    EXPECT_EQ(x.id, y.id) << "record " << i;
+    EXPECT_EQ(x.entity, y.entity) << "record " << i;
+    EXPECT_EQ(x.activity, y.activity) << "record " << i;
+    EXPECT_EQ(x.agent, y.agent) << "record " << i;
+    EXPECT_EQ(x.timestamp, y.timestamp) << "record " << i;
+    EXPECT_EQ(x.source, y.source) << "record " << i;
+    EXPECT_EQ(x.inputs, y.inputs) << "record " << i;
+    EXPECT_EQ(x.note, y.note) << "record " << i;
+  }
+}
+
 TEST(EvaluationEngineTest, SecondEvaluateHitsTheCache) {
   workload::Scenario scenario = SmallScenario();
   measures::MeasureRegistry registry = measures::DefaultRegistry();
@@ -228,8 +246,7 @@ TEST(EvaluationEngineTest, AdjacentPairDeltaEqualsTheStoreDiff) {
         std::pair{version::ArchivePolicy::kHybridCheckpoint, "hybrid"}}) {
     version::VersionedKnowledgeBase vkb(policy, **base,
                                         /*checkpoint_interval=*/2);
-    version::SingleKbView view(vkb);
-    check(view, label);
+    check(vkb, label);
   }
   version::ShardedKnowledgeBase sharded({.shards = 3}, **base);
   check(sharded, "sharded");
@@ -335,6 +352,23 @@ TEST(RecommendationServiceTest, BatchWithProvenanceMatchesSequentialTrail) {
     EXPECT_FALSE((*batch)[i].provenance_trail.empty());
   }
   EXPECT_EQ(store.size(), baseline_store.size());
+  ExpectIdenticalStores(store, baseline_store);
+
+  // Single requests trace through the same scratch store and splice: one
+  // Recommend per user, in user order, reproduces the oracle too.
+  workload::Scenario single_scenario = SmallScenario(47);
+  std::vector<profile::HumanProfile> single_profiles(
+      single_scenario.curators.members());
+  provenance::ProvenanceStore single_store;
+  RecommendationService single_service(registry, service_options);
+  single_service.AttachProvenance(&single_store);
+  for (size_t i = 0; i < single_profiles.size(); ++i) {
+    auto list = single_service.Recommend(*single_scenario.vkb, 0, 1,
+                                         single_profiles[i]);
+    ASSERT_TRUE(list.ok()) << list.status().ToString();
+    ExpectIdenticalLists(*list, expected[i]);
+  }
+  ExpectIdenticalStores(single_store, baseline_store);
 }
 
 TEST(RecommendationServiceTest, GroupBatchMatchesSequentialGroupRecommend) {
@@ -403,6 +437,40 @@ TEST(RecommendationServiceTest, RejectsNullProfiles) {
   RecommendationService service(registry, {});
   auto batch = service.RecommendBatch(*scenario.vkb, 0, 1, {nullptr});
   EXPECT_FALSE(batch.ok());
+}
+
+// A principal named twice in one request would be delivered to by two
+// runs at once: Serve rejects it before admission, so nothing is built
+// or delivered.
+TEST(RecommendationServiceTest, BatchRejectsRepeatedPrincipal) {
+  workload::Scenario scenario = SmallScenario();
+  measures::MeasureRegistry registry = measures::DefaultRegistry();
+  RecommendationService service(registry, {});
+
+  profile::HumanProfile prof = scenario.end_user;
+  profile::HumanProfile other = scenario.end_user;
+  other.set_id("other");
+  const size_t seen_before = prof.seen_count();
+  std::vector<profile::HumanProfile*> profiles(64, &prof);
+  auto batch = service.RecommendBatch(*scenario.vkb, 0, 1, profiles);
+  EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
+  batch = service.RecommendBatch(*scenario.vkb, 0, 1, {&prof, &other, &prof});
+  EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(prof.seen_count(), seen_before);
+  EXPECT_EQ(other.seen_count(), seen_before);
+
+  profile::Group& group = scenario.curators;
+  std::vector<size_t> members_seen;
+  for (const profile::HumanProfile& member : group.members()) {
+    members_seen.push_back(member.seen_count());
+  }
+  auto group_batch =
+      service.RecommendGroupBatch(*scenario.vkb, 0, 1, {&group, &group});
+  EXPECT_EQ(group_batch.status().code(), StatusCode::kInvalidArgument);
+  for (size_t m = 0; m < group.size(); ++m) {
+    EXPECT_EQ(group.members()[m].seen_count(), members_seen[m]);
+  }
+  EXPECT_EQ(service.engine_stats().contexts_built, 0u);
 }
 
 TEST(RecommendationServiceTest, UnknownVersionFails) {

@@ -105,9 +105,8 @@ struct ReplayOutput {
   engine::ServiceHealth health;
 };
 
-ServiceOptions ReplayServiceOptions(bool parallel, size_t threads) {
+ServiceOptions ReplayServiceOptions(size_t threads) {
   ServiceOptions options;
-  options.parallel_batches = parallel;
   options.engine.threads = threads;
   // The same user appears in many in-flight reads; delivery
   // bookkeeping would make output depend on serve order.
@@ -120,7 +119,7 @@ ServiceOptions ReplayServiceOptions(bool parallel, size_t threads) {
 ReplayOutput ReplaySequentialOracle(workload::Scenario& scenario,
                                     const WorkloadStream& stream) {
   measures::MeasureRegistry registry = measures::DefaultRegistry();
-  RecommendationService service(registry, ReplayServiceOptions(false, 1));
+  RecommendationService service(registry, ReplayServiceOptions(1));
   ReplayOutput out;
   out.reads.resize(stream.events.size());
   size_t commit_index = 0;
@@ -166,7 +165,7 @@ ReplayOutput ReplayStressedSharded(const WorkloadStream& stream,
                                    ShardedKnowledgeBase& sharded,
                                    size_t threads) {
   measures::MeasureRegistry registry = measures::DefaultRegistry();
-  RecommendationService service(registry, ReplayServiceOptions(true, threads));
+  RecommendationService service(registry, ReplayServiceOptions(threads));
   ReplayOutput out;
   out.reads.resize(stream.events.size());
   std::atomic<size_t> failures{0};
@@ -333,9 +332,9 @@ INSTANTIATE_TEST_SUITE_P(AllStreamModes, ScenarioReplayTest,
                                            StreamMode::kZipfReads,
                                            StreamMode::kAdversarialChurn,
                                            StreamMode::kSchemaShockwave),
-                         [](const auto& info) {
+                         [](const auto& param_info) {
                            std::string name =
-                               workload::StreamModeName(info.param);
+                               workload::StreamModeName(param_info.param);
                            for (char& c : name) {
                              if (c == '-') c = '_';
                            }
@@ -366,7 +365,7 @@ TEST(ScenarioReplayFaultTest, DegradedExactlyDuringInjectedFaultWindow) {
   scenario.vkb->AttachCommitLog(&log);
 
   measures::MeasureRegistry registry = measures::DefaultRegistry();
-  RecommendationService service(registry, ReplayServiceOptions(false, 1));
+  RecommendationService service(registry, ReplayServiceOptions(1));
 
   constexpr size_t kFailAt = 2;
   size_t commits_seen = 0;

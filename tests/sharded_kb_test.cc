@@ -25,14 +25,6 @@ using rdf::kAnyTerm;
 using rdf::Triple;
 using rdf::TriplePattern;
 
-ChangeSet MakeChanges(std::vector<Triple> additions,
-                      std::vector<Triple> removals) {
-  ChangeSet cs;
-  cs.additions = std::move(additions);
-  cs.removals = std::move(removals);
-  return cs;
-}
-
 // A deterministic multi-version history over a small term universe so
 // commits collide with earlier versions (re-adds, double removes).
 std::vector<ChangeSet> RandomHistory(uint64_t seed, size_t versions) {
@@ -94,16 +86,16 @@ class ShardedKbTest : public ::testing::TestWithParam<size_t> {};
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardedKbTest,
                          ::testing::Values(1, 2, 4, 8),
-                         [](const auto& info) {
-                           return "Shards" + std::to_string(info.param);
+                         [](const auto& param_info) {
+                           return "Shards" +
+                                  std::to_string(param_info.param);
                          });
 
 TEST_P(ShardedKbTest, UnionSnapshotsMatchUnshardedStore) {
   const std::vector<ChangeSet> history = RandomHistory(17, 8);
 
   VersionedKnowledgeBase single;
-  SingleKbView single_view(single);
-  ReplayHistory(single_view, history);
+  ReplayHistory(single, history);
 
   ShardedKnowledgeBase sharded({.shards = GetParam()});
   ReplayHistory(sharded, history);
@@ -112,7 +104,7 @@ TEST_P(ShardedKbTest, UnionSnapshotsMatchUnshardedStore) {
   ASSERT_EQ(sharded.head(), single.head());
   for (VersionId v = 0; v <= sharded.head(); ++v) {
     auto sharded_snapshot = sharded.SharedSnapshot(v);
-    auto single_snapshot = single_view.SharedSnapshot(v);
+    auto single_snapshot = single.SharedSnapshot(v);
     ASSERT_TRUE(sharded_snapshot.ok()) << sharded_snapshot.status().ToString();
     ASSERT_TRUE(single_snapshot.ok());
     ASSERT_NO_FATAL_FAILURE(ExpectIdenticalScans((*sharded_snapshot)->store(),
@@ -293,22 +285,22 @@ TEST(ShardedKbServingTest, RecommendBatchMatchesSingleStorePath) {
 
   measures::MeasureRegistry registry = measures::DefaultRegistry();
 
-  // Sequential single-store baseline.
+  // Sequential single-store baseline: the context-path recommender,
+  // one user after the other.
   workload::Scenario baseline = workload::MakeDbpediaLike(31, scale);
   std::vector<profile::HumanProfile> baseline_profiles(
       baseline.curators.members());
   baseline_profiles.push_back(baseline.end_user);
-  std::vector<profile::HumanProfile*> baseline_pointers;
+  recommend::Recommender sequential(registry);
+  auto baseline_ctx =
+      measures::EvolutionContext::FromVersions(*baseline.vkb, 0, 1);
+  ASSERT_TRUE(baseline_ctx.ok()) << baseline_ctx.status().ToString();
+  std::vector<recommend::RecommendationList> expected;
   for (profile::HumanProfile& prof : baseline_profiles) {
-    baseline_pointers.push_back(&prof);
+    auto list = sequential.RecommendForUser(*baseline_ctx, prof);
+    ASSERT_TRUE(list.ok()) << list.status().ToString();
+    expected.push_back(std::move(list).value());
   }
-  engine::ServiceOptions sequential_options;
-  sequential_options.parallel_batches = false;
-  engine::RecommendationService baseline_service(registry,
-                                                 sequential_options);
-  auto expected =
-      baseline_service.RecommendBatch(*baseline.vkb, 0, 1, baseline_pointers);
-  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   // Same content rebuilt as a sharded KB: adopt version 0, replay the
   // archived change sets.
@@ -336,10 +328,10 @@ TEST(ShardedKbServingTest, RecommendBatchMatchesSingleStorePath) {
   engine::RecommendationService service(registry, options);
   auto batch = service.RecommendBatch(sharded, 0, 1, pointers);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ASSERT_EQ(batch->size(), expected->size());
-  for (size_t i = 0; i < expected->size(); ++i) {
+  ASSERT_EQ(batch->size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
     const recommend::RecommendationList& a = (*batch)[i];
-    const recommend::RecommendationList& b = (*expected)[i];
+    const recommend::RecommendationList& b = expected[i];
     ASSERT_EQ(a.items.size(), b.items.size()) << "user " << i;
     for (size_t j = 0; j < a.items.size(); ++j) {
       EXPECT_EQ(a.items[j].candidate.id, b.items[j].candidate.id);
