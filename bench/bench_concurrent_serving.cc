@@ -207,7 +207,6 @@ void PrintConcurrentServingTable() {
     if (sharded == nullptr) continue;
 
     engine::ServiceOptions options;
-    options.recommender.record_seen = false;
     options.engine.threads = 4;
     engine::RecommendationService service(registry, options);
     if (!service.WarmStart(*sharded, 0, 1).ok()) continue;
@@ -249,7 +248,6 @@ void BM_BatchDuringCommits(benchmark::State& state) {
     return;
   }
   engine::ServiceOptions options;
-  options.recommender.record_seen = false;
   options.engine.threads = 4;
   engine::RecommendationService service(registry, options);
   if (!service.WarmStart(*sharded, 0, 1).ok()) {
@@ -308,7 +306,6 @@ void BM_CommitUnderReadLoad(benchmark::State& state) {
     return;
   }
   engine::ServiceOptions options;
-  options.recommender.record_seen = false;
   options.engine.threads = 4;
   engine::RecommendationService service(registry, options);
   if (!service.WarmStart(*sharded, 0, 1).ok()) {

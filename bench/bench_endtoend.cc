@@ -84,9 +84,7 @@ void BM_EndToEndUser(benchmark::State& state) {
   scale.operations = scale.classes * 4;
   workload::Scenario scenario = workload::MakeDbpediaLike(91, scale);
   measures::MeasureRegistry registry = measures::DefaultRegistry();
-  recommend::RecommenderOptions options;
-  options.record_seen = false;
-  recommend::Recommender recommender(registry, options);
+  recommend::Recommender recommender(registry);
   auto ctx = measures::EvolutionContext::FromVersions(
       *scenario.vkb, scenario.vkb->head() - 1, scenario.vkb->head());
   for (auto _ : state) {

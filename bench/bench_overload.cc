@@ -149,7 +149,7 @@ void PrintOverloadTable() {
   }
 
   // A small user population served round-robin with fresh copies (the
-  // stateless-frontend diet; record_seen off so serves are pure).
+  // stateless-frontend diet).
   std::vector<profile::HumanProfile> users;
   for (int i = 0; i < 8; ++i) {
     profile::HumanProfile prof = scenario.end_user;
@@ -174,7 +174,6 @@ void PrintOverloadTable() {
   auto make_options = [&](FaultInjectionEnv* env, bool admission,
                           double service_us) {
     engine::ServiceOptions options;
-    options.recommender.record_seen = false;
     options.engine.threads = 4;
     options.env = env;
     if (admission) {
@@ -270,7 +269,6 @@ void PrintRampTable() {
 
   FaultInjectionEnv env;
   engine::ServiceOptions options;
-  options.recommender.record_seen = false;
   options.engine.threads = 4;
   options.env = &env;
   options.overload.admission_enabled = true;

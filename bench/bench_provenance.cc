@@ -45,15 +45,13 @@ void PrintOverheadTable() {
                       "ms_per_run"});
   for (bool capture : {false, true}) {
     provenance::ProvenanceStore store;
-    recommend::RecommenderOptions options;
-    options.record_seen = false;
-    recommend::Recommender recommender(setup.registry, options);
-    if (capture) recommender.AttachProvenance(&store);
+    recommend::Recommender recommender(setup.registry);
     profile::HumanProfile user = setup.scenario.end_user;
     const size_t runs = 10;
     Stopwatch timer;
     for (size_t i = 0; i < runs; ++i) {
-      auto list = recommender.RecommendForUser(*setup.ctx, user);
+      auto list = recommender.RecommendForUser(*setup.ctx, user,
+                                               capture ? &store : nullptr);
       benchmark::DoNotOptimize(list.ok());
     }
     const double total_ms = timer.ElapsedMillis();
@@ -76,10 +74,9 @@ void PrintTransparencyQueries() {
   if (!setup.ctx.has_value()) return;
   provenance::ProvenanceStore store;
   recommend::Recommender recommender(setup.registry, {});
-  recommender.AttachProvenance(&store);
   profile::HumanProfile user = setup.scenario.end_user;
   for (int i = 0; i < 20; ++i) {
-    (void)recommender.RecommendForUser(*setup.ctx, user);
+    (void)recommender.RecommendForUser(*setup.ctx, user, &store);
   }
 
   Stopwatch chain_timer;

@@ -45,9 +45,7 @@ std::vector<profile::HumanProfile> CloneUsers(
 double ColdServeSeconds(const workload::Scenario& scenario,
                         const measures::MeasureRegistry& registry,
                         std::vector<profile::HumanProfile>& users) {
-  recommend::RecommenderOptions options;
-  options.record_seen = false;
-  const recommend::Recommender recommender(registry, options);
+  const recommend::Recommender recommender(registry);
   Stopwatch timer;
   for (profile::HumanProfile& user : users) {
     auto ctx = measures::EvolutionContext::FromVersions(*scenario.vkb, 0, 1);
@@ -75,9 +73,7 @@ void PrintServingTable() {
     const double cold_s = ColdServeSeconds(scenario, registry, cold_users);
     if (cold_s < 0.0) continue;
 
-    engine::ServiceOptions service_options;
-    service_options.recommender.record_seen = false;
-    engine::RecommendationService service(registry, service_options);
+    engine::RecommendationService service(registry);
     std::vector<profile::HumanProfile> warm_users =
         CloneUsers(scenario.end_user, n);
     std::vector<profile::HumanProfile*> pointers;
@@ -111,7 +107,6 @@ void PrintServingTable() {
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     if (threads > 2 * ThreadPool::DefaultThreadCount()) break;
     engine::ServiceOptions service_options;
-    service_options.recommender.record_seen = false;
     service_options.engine.threads = threads;
     engine::RecommendationService service(registry, service_options);
     std::vector<profile::HumanProfile> users =
@@ -160,9 +155,7 @@ void BM_WarmBatch(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   workload::Scenario scenario = ServingScenario();
   const measures::MeasureRegistry registry = measures::DefaultRegistry();
-  engine::ServiceOptions service_options;
-  service_options.recommender.record_seen = false;
-  engine::RecommendationService service(registry, service_options);
+  engine::RecommendationService service(registry);
   std::vector<profile::HumanProfile> users =
       CloneUsers(scenario.end_user, n);
   std::vector<profile::HumanProfile*> pointers;
@@ -192,7 +185,6 @@ void BM_WarmBatch64Threads(benchmark::State& state) {
   workload::Scenario scenario = ServingScenario();
   const measures::MeasureRegistry registry = measures::DefaultRegistry();
   engine::ServiceOptions service_options;
-  service_options.recommender.record_seen = false;
   service_options.engine.threads = threads;
   engine::RecommendationService service(registry, service_options);
   std::vector<profile::HumanProfile> users =
@@ -221,9 +213,7 @@ void BM_ColdEngineRequest(benchmark::State& state) {
   workload::Scenario scenario = ServingScenario();
   const measures::MeasureRegistry registry = measures::DefaultRegistry();
   for (auto _ : state) {
-    engine::ServiceOptions service_options;
-    service_options.recommender.record_seen = false;
-    engine::RecommendationService service(registry, service_options);
+    engine::RecommendationService service(registry);
     profile::HumanProfile user = scenario.end_user;
     auto list = service.Recommend(*scenario.vkb, 0, 1, user);
     benchmark::DoNotOptimize(list.ok());

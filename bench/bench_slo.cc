@@ -80,7 +80,6 @@ std::unique_ptr<ShardedKnowledgeBase> ShardScenario(
 
 engine::ServiceOptions SloServiceOptions() {
   engine::ServiceOptions options;
-  options.recommender.record_seen = false;
   options.engine.threads = 4;
   return options;
 }

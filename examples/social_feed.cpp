@@ -7,6 +7,9 @@
 // Served through the engine layer: a RecommendationService keeps each
 // burst's evolution context and measure reports cached, so the
 // thousandth follower of this feed costs scoring + selection only.
+// Serving only reads the user; the feed delivers each digest and
+// applies its receipt (recommend::DeliveredTerms) to the user's
+// seen-history, which is what lowers the novelty of repeated items.
 //
 //   $ ./social_feed
 
@@ -43,6 +46,7 @@ int main() {
   for (version::VersionId v = 1; v < scenario.vkb->version_count(); ++v) {
     auto digest = service.Recommend(*scenario.vkb, v - 1, v, user);
     if (!digest.ok()) continue;
+    user.RecordSeen(recommend::DeliveredTerms(*digest));
 
     std::printf("--- digest after burst %u ---\n", v);
     double mean_novelty = 0.0;

@@ -1,7 +1,6 @@
 #include "engine/recommendation_service.h"
 
 #include <algorithm>
-#include <functional>
 #include <type_traits>
 #include <utility>
 
@@ -12,6 +11,12 @@ namespace {
 Env* ResolveEnv(const ServiceOptions& options) {
   return options.env != nullptr ? options.env : Env::Default();
 }
+
+// The declared cheaper mode served while browned out: pivot-sampled
+// betweenness, the ContextOptions knob with the biggest cost lever.
+constexpr measures::ContextOptions kBrownoutContext{
+    .betweenness_mode = measures::BetweennessMode::kSampled,
+    .betweenness_pivots = 16};
 
 }  // namespace
 
@@ -122,7 +127,7 @@ Status RecommendationService::CheckDeadline(const Deadline& deadline,
 const measures::ContextOptions& RecommendationService::PickContext(
     bool* brownout) {
   *brownout = brownout_.Active();
-  return *brownout ? options_.overload.brownout_context : options_.context;
+  return *brownout ? kBrownoutContext : options_.context;
 }
 
 void RecommendationService::MarkCommitFailed(const Status& status) {
@@ -280,18 +285,12 @@ template <typename Principal>
 Result<std::vector<recommend::RecommendationList>>
 RecommendationService::Serve(const version::KbView& view,
                              version::VersionId v1, version::VersionId v2,
-                             std::span<Principal* const> principals,
+                             std::span<const Principal* const> principals,
                              const RequestBudget& budget) {
   constexpr bool kGroup = std::is_same_v<Principal, profile::Group>;
-  // Delivery mutates each principal's seen-history, so the runs of one
-  // request must touch distinct objects.
-  std::vector<Principal*> sorted(principals.begin(), principals.end());
-  std::sort(sorted.begin(), sorted.end(), std::less<>());
-  if (!sorted.empty() && sorted.front() == nullptr) {
+  if (std::find(principals.begin(), principals.end(), nullptr) !=
+      principals.end()) {
     return InvalidArgumentError("serving request names a null principal");
-  }
-  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
-    return InvalidArgumentError("serving request names a principal twice");
   }
   const uint64_t start = env_->NowMicros();
   const size_t n = principals.size();
@@ -362,23 +361,23 @@ RecommendationService::Serve(const version::KbView& view,
 
 Result<recommend::RecommendationList> RecommendationService::Recommend(
     const version::KbView& view, version::VersionId v1, version::VersionId v2,
-    profile::HumanProfile& prof, const RequestBudget& budget) {
-  profile::HumanProfile* const one = &prof;
+    const profile::HumanProfile& prof, const RequestBudget& budget) {
+  const profile::HumanProfile* const one = &prof;
   return OnlyResult(
       Serve<profile::HumanProfile>(view, v1, v2, {&one, 1}, budget));
 }
 
 Result<recommend::RecommendationList> RecommendationService::RecommendGroup(
     const version::KbView& view, version::VersionId v1, version::VersionId v2,
-    profile::Group& group, const RequestBudget& budget) {
-  profile::Group* const one = &group;
+    const profile::Group& group, const RequestBudget& budget) {
+  const profile::Group* const one = &group;
   return OnlyResult(Serve<profile::Group>(view, v1, v2, {&one, 1}, budget));
 }
 
 Result<std::vector<recommend::RecommendationList>>
 RecommendationService::RecommendBatch(
     const version::KbView& view, version::VersionId v1, version::VersionId v2,
-    const std::vector<profile::HumanProfile*>& profiles,
+    std::span<const profile::HumanProfile* const> profiles,
     const RequestBudget& budget) {
   return Serve<profile::HumanProfile>(view, v1, v2, profiles, budget);
 }
@@ -386,7 +385,8 @@ RecommendationService::RecommendBatch(
 Result<std::vector<recommend::RecommendationList>>
 RecommendationService::RecommendGroupBatch(
     const version::KbView& view, version::VersionId v1, version::VersionId v2,
-    const std::vector<profile::Group*>& groups, const RequestBudget& budget) {
+    std::span<const profile::Group* const> groups,
+    const RequestBudget& budget) {
   return Serve<profile::Group>(view, v1, v2, groups, budget);
 }
 

@@ -40,16 +40,11 @@ struct OverloadOptions {
   /// Serving stays in the existing DEGRADED machinery throughout.
   bool breaker_enabled = false;
   BreakerOptions breaker;
-  /// Hysteretic brown-out: under sustained shed pressure, serve
-  /// brownout_context instead of ServiceOptions::context, flagged
+  /// Hysteretic brown-out: under sustained shed pressure, serve the
+  /// declared cheaper mode (pivot-sampled betweenness, 16 pivots)
+  /// instead of ServiceOptions::context, flagged
   /// RecommendationList::brownout (brownout.enabled arms it).
   BrownoutOptions brownout;
-  /// The declared cheaper mode served while browned out. Defaults to
-  /// pivot-sampled betweenness — the knob ContextOptions already
-  /// exposes with the biggest cost lever.
-  measures::ContextOptions brownout_context{
-      .betweenness_mode = measures::BetweennessMode::kSampled,
-      .betweenness_pivots = 16};
   /// Deadline applied to requests whose RequestBudget carries none;
   /// 0 = infinite (no implicit deadline).
   uint64_t default_deadline_us = 0;
@@ -138,11 +133,11 @@ struct ServiceHealth {
 /// version::ShardedKnowledgeBase whose snapshot pins run lock-free, so
 /// reads proceed at full fan-out while a concurrent Commit lands.
 ///
-/// Thread-compatible: one service may serve concurrent callers, but
-/// each HumanProfile/Group may only appear in one in-flight request at
-/// a time (delivery mutates the profile's seen-history). A request
-/// that names one principal twice fails with kInvalidArgument before
-/// any work.
+/// Thread-safe: one service may serve concurrent callers. Principals
+/// are read-only, so any number of concurrent requests, and the slots
+/// of one batch, may name one profile or group. Whoever delivers a list
+/// applies its receipt (recommend::DeliveredTerms) while no request
+/// naming that principal is in flight.
 class RecommendationService {
  public:
   /// `registry` must outlive the service.
@@ -166,31 +161,31 @@ class RecommendationService {
   /// reusing the cached shared evaluation when warm.
   Result<recommend::RecommendationList> Recommend(
       const version::KbView& view, version::VersionId v1,
-      version::VersionId v2, profile::HumanProfile& prof,
+      version::VersionId v2, const profile::HumanProfile& prof,
       const RequestBudget& budget = {});
 
   /// Recommends one shared package to a group. Group requests enter
   /// admission on the priority lane.
   Result<recommend::RecommendationList> RecommendGroup(
       const version::KbView& view, version::VersionId v1,
-      version::VersionId v2, profile::Group& group,
+      version::VersionId v2, const profile::Group& group,
       const RequestBudget& budget = {});
 
   /// Serves many users against one version pair: the shared evaluation
   /// is built (or fetched) once, then the per-user stages run in
   /// parallel on the engine's pool. results[i] corresponds to
-  /// profiles[i]; profiles must be distinct, non-null objects
-  /// (kInvalidArgument otherwise). Fails on the first per-user failure.
+  /// profiles[i]; a null profile fails the request with
+  /// kInvalidArgument. Fails on the first per-user failure.
   Result<std::vector<recommend::RecommendationList>> RecommendBatch(
       const version::KbView& view, version::VersionId v1,
       version::VersionId v2,
-      const std::vector<profile::HumanProfile*>& profiles,
+      std::span<const profile::HumanProfile* const> profiles,
       const RequestBudget& budget = {});
 
   /// Group flavour of RecommendBatch.
   Result<std::vector<recommend::RecommendationList>> RecommendGroupBatch(
       const version::KbView& view, version::VersionId v1,
-      version::VersionId v2, const std::vector<profile::Group*>& groups,
+      version::VersionId v2, std::span<const profile::Group* const> groups,
       const RequestBudget& budget = {});
 
   /// Warm-start: pre-builds the full shared evaluation of (v1, v2) —
@@ -261,15 +256,15 @@ class RecommendationService {
  private:
   /// The one read path behind Recommend, RecommendGroup and their
   /// batch flavours (Principal is profile::HumanProfile or
-  /// profile::Group): rejects null or repeated principals, admits the
-  /// request, fetches the shared evaluation once, runs the per-principal
-  /// stages on the engine's pool — each into a private scratch trace
-  /// when a store is attached — and splices the traces. results[i]
+  /// profile::Group): rejects null principals, admits the request,
+  /// fetches the shared evaluation once, runs the per-principal stages
+  /// on the engine's pool — each into a private scratch trace when a
+  /// store is attached — and splices the traces. results[i]
   /// corresponds to principals[i].
   template <typename Principal>
   Result<std::vector<recommend::RecommendationList>> Serve(
       const version::KbView& view, version::VersionId v1,
-      version::VersionId v2, std::span<Principal* const> principals,
+      version::VersionId v2, std::span<const Principal* const> principals,
       const RequestBudget& budget);
 
   Result<std::shared_ptr<const SharedEvaluation>> Warm(

@@ -22,7 +22,6 @@ class Group {
   void AddMember(HumanProfile member);
 
   const std::vector<HumanProfile>& members() const { return members_; }
-  std::vector<HumanProfile>& mutable_members() { return members_; }
   size_t size() const { return members_.size(); }
   bool empty() const { return members_.empty(); }
 

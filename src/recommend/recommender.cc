@@ -12,10 +12,6 @@ Recommender::Recommender(const measures::MeasureRegistry& registry,
                          RecommenderOptions options)
     : registry_(registry), options_(std::move(options)) {}
 
-void Recommender::AttachProvenance(provenance::ProvenanceStore* store) {
-  provenance_ = store;
-}
-
 void Recommender::AttachAccessPolicy(const anonymity::AccessPolicy* policy) {
   policy_ = policy;
 }
@@ -61,16 +57,6 @@ class StageTracer {
   std::unique_ptr<provenance::Workflow> workflow_;
 };
 
-std::vector<rdf::TermId> DeliveredTerms(
-    const std::vector<RecommendationItem>& items) {
-  std::vector<rdf::TermId> terms;
-  for (const RecommendationItem& item : items) {
-    terms.insert(terms.end(), item.candidate.top_terms.begin(),
-                 item.candidate.top_terms.end());
-  }
-  return terms;
-}
-
 std::vector<measures::MeasureReport> NormalizeReports(
     const std::vector<MeasureCandidate>& pool) {
   std::vector<measures::MeasureReport> normalized;
@@ -82,6 +68,15 @@ std::vector<measures::MeasureReport> NormalizeReports(
 }
 
 }  // namespace
+
+std::vector<rdf::TermId> DeliveredTerms(const RecommendationList& list) {
+  std::vector<rdf::TermId> terms;
+  for (const RecommendationItem& item : list.items) {
+    terms.insert(terms.end(), item.candidate.top_terms.begin(),
+                 item.candidate.top_terms.end());
+  }
+  return terms;
+}
 
 Result<SharedRunState> Recommender::PreparePool(
     const measures::EvolutionContext& ctx) const {
@@ -119,17 +114,17 @@ Result<SharedRunState> Recommender::PrepareShared(
 }
 
 Result<RecommendationList> Recommender::RecommendForUser(
-    const measures::EvolutionContext& ctx,
-    profile::HumanProfile& prof) const {
+    const measures::EvolutionContext& ctx, const profile::HumanProfile& prof,
+    provenance::ProvenanceStore* trace) const {
   // With a policy attached the per-user gating invalidates the shared
   // normalisation/distances, so don't build them for one run.
   auto shared = policy_ == nullptr ? PrepareShared(ctx) : PreparePool(ctx);
   if (!shared.ok()) return shared.status();
-  return RecommendForUser(*shared, prof, provenance_);
+  return RecommendForUser(*shared, prof, trace);
 }
 
 Result<RecommendationList> Recommender::RecommendForUser(
-    const SharedRunState& shared, profile::HumanProfile& prof,
+    const SharedRunState& shared, const profile::HumanProfile& prof,
     provenance::ProvenanceStore* trace) const {
   const measures::EvolutionContext& ctx = *shared.ctx;
   StageTracer tracer(trace, "recommend_user/" + prof.id(), "evorec");
@@ -208,15 +203,12 @@ Result<RecommendationList> Recommender::RecommendForUser(
       SetDiversity(candidates, selection, options_.diversity, distances);
   list.category_coverage = CategoryCoverage(candidates, selection);
   list.provenance_trail = tracer.trail();
-
-  if (options_.record_seen) {
-    prof.RecordSeen(DeliveredTerms(list.items));
-  }
   return list;
 }
 
 Result<RecommendationList> Recommender::RecommendForGroup(
-    const measures::EvolutionContext& ctx, profile::Group& group) const {
+    const measures::EvolutionContext& ctx, const profile::Group& group,
+    provenance::ProvenanceStore* trace) const {
   if (group.empty()) {
     return InvalidArgumentError("cannot recommend to an empty group");
   }
@@ -224,11 +216,11 @@ Result<RecommendationList> Recommender::RecommendForGroup(
   // reads the shared normalisation/distances — skip building them.
   auto shared = PreparePool(ctx);
   if (!shared.ok()) return shared.status();
-  return RecommendForGroup(*shared, group, provenance_);
+  return RecommendForGroup(*shared, group, trace);
 }
 
 Result<RecommendationList> Recommender::RecommendForGroup(
-    const SharedRunState& shared, profile::Group& group,
+    const SharedRunState& shared, const profile::Group& group,
     provenance::ProvenanceStore* trace) const {
   if (group.empty()) {
     return InvalidArgumentError("cannot recommend to an empty group");
@@ -294,10 +286,6 @@ Result<RecommendationList> Recommender::RecommendForGroup(
     list.items.push_back(std::move(item));
   }
   list.provenance_trail = tracer.trail();
-
-  if (options_.record_seen) {
-    group.RecordSeen(DeliveredTerms(list.items));
-  }
   return list;
 }
 

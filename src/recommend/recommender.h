@@ -36,9 +36,6 @@ struct RecommenderOptions {
   double novelty_weight = 0.0;
   /// Group strategy.
   GroupSelectOptions group;
-  /// Record recommended terms into profiles' seen-history after
-  /// delivering (enables novelty on the next run).
-  bool record_seen = true;
 };
 
 /// The user-independent half of a recommendation run: the candidate
@@ -77,8 +74,8 @@ struct RecommendationList {
   size_t candidate_pool_size = 0;
   size_t redacted_terms = 0;
   size_t dropped_candidates = 0;
-  /// Provenance records of the pipeline stages (empty when no store is
-  /// attached).
+  /// Provenance records of the pipeline stages (empty for an untraced
+  /// run).
   std::vector<provenance::RecordId> provenance_trail;
   /// Set by the serving layer while it is in the DEGRADED health
   /// state: the list is consistent but may reflect the last
@@ -92,21 +89,22 @@ struct RecommendationList {
   bool brownout = false;
 };
 
+/// The delivery receipt of `list`: every top term of every item, in
+/// item order. Recommending never writes a principal; whoever delivers
+/// the list applies the receipt with HumanProfile::RecordSeen or
+/// Group::RecordSeen, which lowers novelty on the next run (§III.c).
+std::vector<rdf::TermId> DeliveredTerms(const RecommendationList& list);
+
 /// The paper's processing model: generate measure candidates for a
 /// version pair, pass them through the anonymity gate, score
 /// relatedness (and novelty), select a diverse (or fair) package, and
 /// explain every pick — with the whole run captured as a provenance
-/// workflow when a store is attached.
+/// workflow when a trace store is passed.
 class Recommender {
  public:
   /// `registry` must outlive the recommender.
   Recommender(const measures::MeasureRegistry& registry,
               RecommenderOptions options = {});
-
-  /// Attaches a provenance store; every subsequent context-path run
-  /// records its stages (transparency, §III.b). Shared-state runs trace
-  /// into the store they are passed instead. Pass nullptr to detach.
-  void AttachProvenance(provenance::ProvenanceStore* store);
 
   /// Attaches strict access rules applied before scoring (§III.e).
   /// Pass nullptr to detach.
@@ -127,34 +125,34 @@ class Recommender {
       const std::vector<std::shared_ptr<const measures::MeasureReport>>&
           reports) const;
 
-  /// Recommends a measure package to one human, tracing into the
-  /// attached store. Mutates `prof` only to record the delivered terms
-  /// (when options().record_seen).
+  /// Recommends a measure package to one human, recording its stages
+  /// into `trace` (transparency, §III.b; nullptr runs untraced).
   Result<RecommendationList> RecommendForUser(
       const measures::EvolutionContext& ctx,
-      profile::HumanProfile& prof) const;
+      const profile::HumanProfile& prof,
+      provenance::ProvenanceStore* trace = nullptr) const;
 
   /// Serving path: the same pipeline over a prepared shared state,
   /// tracing into `trace` (nullptr runs untraced). Safe to call
-  /// concurrently for distinct profiles against one state with
-  /// distinct trace stores (the per-run stages work on a copy of the
-  /// pool), and byte-identical to the context path given equivalent
-  /// shared state. Workflow timestamps are per-run logical clocks, so
-  /// a trace into a private scratch store is the in-place trace with
-  /// ids rebased — what lets a serving layer splice scratches back in
-  /// deterministic order.
+  /// concurrently against one state with distinct trace stores (the
+  /// per-run stages work on a copy of the pool), and byte-identical to
+  /// the context path given equivalent shared state. Workflow
+  /// timestamps are per-run logical clocks, so a trace into a private
+  /// scratch store is the in-place trace with ids rebased — what lets
+  /// a serving layer splice scratches back in deterministic order.
   Result<RecommendationList> RecommendForUser(
-      const SharedRunState& shared, profile::HumanProfile& prof,
+      const SharedRunState& shared, const profile::HumanProfile& prof,
       provenance::ProvenanceStore* trace) const;
 
   /// Recommends one shared package to a group (§III.d), tracing into
-  /// the attached store.
+  /// `trace` when non-null.
   Result<RecommendationList> RecommendForGroup(
-      const measures::EvolutionContext& ctx, profile::Group& group) const;
+      const measures::EvolutionContext& ctx, const profile::Group& group,
+      provenance::ProvenanceStore* trace = nullptr) const;
 
   /// Group flavour of the shared-state serving path.
   Result<RecommendationList> RecommendForGroup(
-      const SharedRunState& shared, profile::Group& group,
+      const SharedRunState& shared, const profile::Group& group,
       provenance::ProvenanceStore* trace) const;
 
   const RecommenderOptions& options() const { return options_; }
@@ -168,7 +166,6 @@ class Recommender {
 
   const measures::MeasureRegistry& registry_;
   RecommenderOptions options_;
-  provenance::ProvenanceStore* provenance_ = nullptr;
   const anonymity::AccessPolicy* policy_ = nullptr;
 };
 

@@ -119,7 +119,7 @@ std::vector<rdf::TermId> ClassHierarchy::Reach(rdf::TermId start,
     queue.pop_front();
     for (rdf::TermId next : runs.Row(node)) {
       const size_t j = IndexOf(next);
-      if (seen[j]) continue;
+      if (j == rdf::kNotInUniverse || seen[j]) continue;
       seen[j] = 1;
       out.push_back(next);
       queue.push_back(j);
@@ -195,7 +195,7 @@ size_t ClassHierarchy::UndirectedDistance(rdf::TermId a, rdf::TermId b) const {
     for (const RowRuns* runs : {&parents_, &children_}) {
       for (rdf::TermId next : runs->Row(node)) {
         const size_t j = IndexOf(next);
-        if (dist[j] != kUnreached) continue;
+        if (j == rdf::kNotInUniverse || dist[j] != kUnreached) continue;
         if (j == to) return dist[node] + 1;
         dist[j] = dist[node] + 1;
         queue.push_back(j);

@@ -3,9 +3,11 @@
 // pin segment-list snapshots of a sharded KB and keep serving at full
 // fan-out while a committer lands new versions — without blocking on
 // the writer, without torn reads, and with results byte-identical to
-// an idle-store run. Also covers the provenance path: scratch-store
-// splicing must reproduce the sequential audit trail record for record,
-// and concurrent single requests must keep every trail whole.
+// an idle-store run. Principals are read-only, so concurrent requests
+// may share one profile or group. Also covers the provenance path:
+// scratch-store splicing must reproduce the sequential audit trail
+// record for record, and concurrent single requests must keep every
+// trail whole.
 
 #include <gtest/gtest.h>
 
@@ -166,14 +168,13 @@ TEST(ConcurrentServingTest, BatchesKeepServingWhileCommitsLand) {
   options.engine.threads = 2;
   RecommendationService service(registry, options);
 
-  // Expected batch output, computed on the idle store. Profiles are
-  // copied fresh per round so delivery bookkeeping never drifts.
-  const std::vector<profile::HumanProfile> template_profiles(
-      scenario.curators.members());
+  // Expected batch output, computed on the idle store. Every reader
+  // serves the same profiles.
+  std::vector<const profile::HumanProfile*> pointers;
+  for (const profile::HumanProfile& prof : scenario.curators.members()) {
+    pointers.push_back(&prof);
+  }
   auto run_batch = [&](std::vector<recommend::RecommendationList>* out) {
-    std::vector<profile::HumanProfile> profiles(template_profiles);
-    std::vector<profile::HumanProfile*> pointers;
-    for (profile::HumanProfile& prof : profiles) pointers.push_back(&prof);
     auto batch = service.RecommendBatch(*sharded, 0, 1, pointers);
     if (!batch.ok()) return false;
     *out = std::move(batch).value();
@@ -240,6 +241,90 @@ TEST(ConcurrentServingTest, BatchesKeepServingWhileCommitsLand) {
   EXPECT_EQ(service.health_state(), HealthState::kHealthy);
 }
 
+// Principals are read-only: concurrent requests, and every slot of one
+// batch, may name one profile (or group). Each is served the
+// context-path oracle's list, and no seen-history moves.
+TEST(ConcurrentServingTest, SharedPrincipalsServeConcurrently) {
+  workload::Scenario scenario = SmallScenario(67);
+  const profile::HumanProfile& prof = scenario.end_user;
+  const profile::Group& group = scenario.curators;
+  const size_t seen_before = prof.seen_count();
+  std::vector<size_t> members_seen;
+  for (const profile::HumanProfile& member : group.members()) {
+    members_seen.push_back(member.seen_count());
+  }
+
+  measures::MeasureRegistry registry = measures::DefaultRegistry();
+  ServiceOptions options;
+  options.engine.threads = 2;
+  RecommendationService service(registry, options);
+
+  recommend::Recommender oracle(registry, options.recommender);
+  auto ctx = measures::EvolutionContext::FromVersions(*scenario.vkb, 0, 1);
+  ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
+  auto user_expected = oracle.RecommendForUser(*ctx, prof);
+  ASSERT_TRUE(user_expected.ok()) << user_expected.status().ToString();
+  auto group_expected = oracle.RecommendForGroup(*ctx, group);
+  ASSERT_TRUE(group_expected.ok()) << group_expected.status().ToString();
+  auto same = [](const recommend::RecommendationList& got,
+                 const recommend::RecommendationList& want) {
+    if (got.items.size() != want.items.size()) return false;
+    for (size_t j = 0; j < got.items.size(); ++j) {
+      if (got.items[j].candidate.id != want.items[j].candidate.id ||
+          got.items[j].relatedness != want.items[j].relatedness ||
+          got.items[j].novelty != want.items[j].novelty) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  constexpr int kClients = 4;
+  constexpr int kRounds = 50;
+  constexpr size_t kRepeats = 16;
+  const std::vector<const profile::HumanProfile*> repeated(kRepeats, &prof);
+  std::atomic<int> failures{0};
+  std::atomic<int> mismatches{0};
+  {
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        for (int r = 0; r < kRounds; ++r) {
+          auto single = service.Recommend(*scenario.vkb, 0, 1, prof);
+          if (!single.ok()) {
+            ++failures;
+          } else if (!same(*single, *user_expected)) {
+            ++mismatches;
+          }
+          auto batch = service.RecommendBatch(*scenario.vkb, 0, 1, repeated);
+          if (!batch.ok() || batch->size() != kRepeats) {
+            ++failures;
+          } else {
+            for (const recommend::RecommendationList& list : *batch) {
+              if (!same(list, *user_expected)) ++mismatches;
+            }
+          }
+          if (c % 2 != 0) continue;
+          auto shared = service.RecommendGroup(*scenario.vkb, 0, 1, group);
+          if (!shared.ok()) {
+            ++failures;
+          } else if (!same(*shared, *group_expected)) {
+            ++mismatches;
+          }
+        }
+      });
+    }
+    for (std::thread& client : clients) client.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(prof.seen_count(), seen_before);
+  for (size_t m = 0; m < group.size(); ++m) {
+    EXPECT_EQ(group.members()[m].seen_count(), members_seen[m]);
+  }
+  EXPECT_EQ(service.engine_stats().contexts_built, 1u);
+}
+
 // Satellite contract: with a provenance store attached the batch stays
 // parallel, and the spliced audit trail is byte-identical to the
 // sequential run — record ids, derivation inputs, ordering, all of it.
@@ -249,20 +334,20 @@ TEST(ConcurrentServingProvenanceTest, ParallelTrailsMatchSequentialTrails) {
   rec_options.package_size = 3;
 
   // Sequential baseline: the context-path recommender tracing in place
-  // into its attached store, one user after the other.
+  // into one store, one user after the other.
   workload::Scenario baseline = SmallScenario(47);
   std::vector<profile::HumanProfile> baseline_profiles(
       baseline.curators.members());
   baseline_profiles.push_back(baseline.end_user);
   provenance::ProvenanceStore sequential_store;
   recommend::Recommender sequential(registry, rec_options);
-  sequential.AttachProvenance(&sequential_store);
   auto baseline_ctx =
       measures::EvolutionContext::FromVersions(*baseline.vkb, 0, 1);
   ASSERT_TRUE(baseline_ctx.ok()) << baseline_ctx.status().ToString();
   std::vector<recommend::RecommendationList> expected;
-  for (profile::HumanProfile& prof : baseline_profiles) {
-    auto list = sequential.RecommendForUser(*baseline_ctx, prof);
+  for (const profile::HumanProfile& prof : baseline_profiles) {
+    auto list =
+        sequential.RecommendForUser(*baseline_ctx, prof, &sequential_store);
     ASSERT_TRUE(list.ok()) << list.status().ToString();
     expected.push_back(std::move(list).value());
   }
@@ -319,12 +404,11 @@ TEST(ConcurrentServingProvenanceTest, GroupBatchTrailsMatchSequential) {
   workload::Scenario baseline = SmallScenario(53);
   provenance::ProvenanceStore sequential_store;
   recommend::Recommender sequential(registry);
-  sequential.AttachProvenance(&sequential_store);
   auto baseline_ctx =
       measures::EvolutionContext::FromVersions(*baseline.vkb, 0, 1);
   ASSERT_TRUE(baseline_ctx.ok()) << baseline_ctx.status().ToString();
-  auto expected =
-      sequential.RecommendForGroup(*baseline_ctx, baseline.curators);
+  auto expected = sequential.RecommendForGroup(*baseline_ctx, baseline.curators,
+                                               &sequential_store);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   workload::Scenario scenario = SmallScenario(53);
@@ -375,11 +459,11 @@ TEST(ConcurrentServingProvenanceTest, ConcurrentSingleReadsKeepWholeTrails) {
     std::vector<std::thread> clients;
     for (int c = 0; c < kClients; ++c) {
       clients.emplace_back([&, c] {
-        // Each client owns its principals: a profile may only be in one
-        // in-flight request at a time.
+        // Each client reads under its own id, so every trail record
+        // names the client whose run wrote it.
         profile::HumanProfile prof = scenario.end_user;
         prof.set_id("reader-" + std::to_string(c));
-        profile::Group group = scenario.curators;
+        const profile::Group& group = scenario.curators;
         for (int r = 0; r < kRounds; ++r) {
           auto list = service.Recommend(*scenario.vkb, 0, 1, prof);
           if (!list.ok()) {

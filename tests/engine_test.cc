@@ -288,7 +288,11 @@ TEST(RecommendationServiceTest, BatchMatchesSequentialRecommend) {
   }
   profiles.push_back(scenario.end_user);
   std::vector<profile::HumanProfile*> pointers;
-  for (profile::HumanProfile& prof : profiles) pointers.push_back(&prof);
+  std::vector<size_t> seen_before;
+  for (profile::HumanProfile& prof : profiles) {
+    pointers.push_back(&prof);
+    seen_before.push_back(prof.seen_count());
+  }
 
   ServiceOptions service_options;
   service_options.recommender = rec_options;
@@ -300,9 +304,10 @@ TEST(RecommendationServiceTest, BatchMatchesSequentialRecommend) {
   for (size_t i = 0; i < expected.size(); ++i) {
     ExpectIdenticalLists((*batch)[i], expected[i]);
   }
-  // Delivery bookkeeping matches too.
+  // Both paths are pure reads: no seen-history moved.
   for (size_t i = 0; i < profiles.size(); ++i) {
-    EXPECT_EQ(profiles[i].seen_count(), baseline_profiles[i].seen_count());
+    EXPECT_EQ(profiles[i].seen_count(), seen_before[i]);
+    EXPECT_EQ(baseline_profiles[i].seen_count(), seen_before[i]);
   }
   // The whole batch shared one context build.
   EXPECT_EQ(service.engine_stats().contexts_built, 1u);
@@ -320,13 +325,12 @@ TEST(RecommendationServiceTest, BatchWithProvenanceMatchesSequentialTrail) {
       baseline_scenario.curators.members());
   provenance::ProvenanceStore baseline_store;
   recommend::Recommender recommender(registry, rec_options);
-  recommender.AttachProvenance(&baseline_store);
   std::vector<recommend::RecommendationList> expected;
-  for (profile::HumanProfile& prof : baseline_profiles) {
+  for (const profile::HumanProfile& prof : baseline_profiles) {
     auto ctx = measures::EvolutionContext::FromVersions(
         *baseline_scenario.vkb, 0, 1);
     ASSERT_TRUE(ctx.ok());
-    auto list = recommender.RecommendForUser(*ctx, prof);
+    auto list = recommender.RecommendForUser(*ctx, prof, &baseline_store);
     ASSERT_TRUE(list.ok());
     expected.push_back(std::move(list).value());
   }
@@ -435,42 +439,43 @@ TEST(RecommendationServiceTest, RejectsNullProfiles) {
   workload::Scenario scenario = SmallScenario();
   measures::MeasureRegistry registry = measures::DefaultRegistry();
   RecommendationService service(registry, {});
-  auto batch = service.RecommendBatch(*scenario.vkb, 0, 1, {nullptr});
+  const std::vector<const profile::HumanProfile*> profiles{nullptr};
+  auto batch = service.RecommendBatch(*scenario.vkb, 0, 1, profiles);
   EXPECT_FALSE(batch.ok());
 }
 
-// A principal named twice in one request would be delivered to by two
-// runs at once: Serve rejects it before admission, so nothing is built
-// or delivered.
-TEST(RecommendationServiceTest, BatchRejectsRepeatedPrincipal) {
+// Principals are read-only, so a request that names one principal many
+// times serves it that many times, identically, off one context build.
+TEST(RecommendationServiceTest, BatchServesRepeatedPrincipalIdentically) {
   workload::Scenario scenario = SmallScenario();
   measures::MeasureRegistry registry = measures::DefaultRegistry();
   RecommendationService service(registry, {});
 
-  profile::HumanProfile prof = scenario.end_user;
-  profile::HumanProfile other = scenario.end_user;
-  other.set_id("other");
+  const profile::HumanProfile& prof = scenario.end_user;
   const size_t seen_before = prof.seen_count();
-  std::vector<profile::HumanProfile*> profiles(64, &prof);
+  const std::vector<const profile::HumanProfile*> profiles(64, &prof);
   auto batch = service.RecommendBatch(*scenario.vkb, 0, 1, profiles);
-  EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
-  batch = service.RecommendBatch(*scenario.vkb, 0, 1, {&prof, &other, &prof});
-  EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ(batch->size(), 64u);
+  for (const recommend::RecommendationList& list : *batch) {
+    ExpectIdenticalLists(list, batch->front());
+  }
   EXPECT_EQ(prof.seen_count(), seen_before);
-  EXPECT_EQ(other.seen_count(), seen_before);
 
-  profile::Group& group = scenario.curators;
+  const profile::Group& group = scenario.curators;
   std::vector<size_t> members_seen;
   for (const profile::HumanProfile& member : group.members()) {
     members_seen.push_back(member.seen_count());
   }
-  auto group_batch =
-      service.RecommendGroupBatch(*scenario.vkb, 0, 1, {&group, &group});
-  EXPECT_EQ(group_batch.status().code(), StatusCode::kInvalidArgument);
+  const std::vector<const profile::Group*> groups(2, &group);
+  auto group_batch = service.RecommendGroupBatch(*scenario.vkb, 0, 1, groups);
+  ASSERT_TRUE(group_batch.ok()) << group_batch.status().ToString();
+  ASSERT_EQ(group_batch->size(), 2u);
+  ExpectIdenticalLists((*group_batch)[1], (*group_batch)[0]);
   for (size_t m = 0; m < group.size(); ++m) {
     EXPECT_EQ(group.members()[m].seen_count(), members_seen[m]);
   }
-  EXPECT_EQ(service.engine_stats().contexts_built, 0u);
+  EXPECT_EQ(service.engine_stats().contexts_built, 1u);
 }
 
 TEST(RecommendationServiceTest, UnknownVersionFails) {

@@ -40,8 +40,7 @@ TEST(IntegrationTest, FullPipelineOnDbpediaLike) {
   // Recommender with provenance produces an explained package.
   provenance::ProvenanceStore prov;
   recommend::Recommender recommender(registry, {});
-  recommender.AttachProvenance(&prov);
-  auto list = recommender.RecommendForUser(*ctx, scenario.end_user);
+  auto list = recommender.RecommendForUser(*ctx, scenario.end_user, &prov);
   ASSERT_TRUE(list.ok());
   EXPECT_FALSE(list->items.empty());
   EXPECT_GT(prov.size(), 0u);

@@ -57,9 +57,7 @@ TEST(OverloadStressTest, AdmittedResultsMatchNoAdmissionOracle) {
   workload::Scenario scenario = SmallScenario();
   measures::MeasureRegistry registry = measures::DefaultRegistry();
 
-  // Profiles are served repeatedly, so delivery must not mutate them.
   ServiceOptions base_options;
-  base_options.recommender.record_seen = false;
   base_options.engine.threads = 2;
 
   constexpr int kThreads = 4;
@@ -72,8 +70,8 @@ TEST(OverloadStressTest, AdmittedResultsMatchNoAdmissionOracle) {
   constexpr int kMinRounds = 40;
   constexpr int kMaxRounds = 4000;
 
-  // Population: each thread owns its users (a profile may only be in
-  // one in-flight request at a time).
+  // Population: each thread serves its own users, with distinct
+  // interests.
   auto head_snapshot = scenario.vkb->Snapshot(scenario.vkb->head());
   ASSERT_TRUE(head_snapshot.ok());
   const schema::SchemaView head_view = schema::SchemaView::Build(**head_snapshot);

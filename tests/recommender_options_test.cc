@@ -62,7 +62,6 @@ TEST(RecommenderOptionsTest, LambdaExtremesBothDeliver) {
   for (double lambda : {0.0, 1.0}) {
     RecommenderOptions options;
     options.mmr_lambda = lambda;
-    options.record_seen = false;
     Recommender recommender(f.registry, options);
     auto list = recommender.RecommendForUser(f.ctx, f.scenario.end_user);
     ASSERT_TRUE(list.ok()) << "lambda " << lambda;
@@ -74,7 +73,6 @@ TEST(RecommenderOptionsTest, ExtendedRegistryContributesPropertyMeasures) {
   Fixture f;
   RecommenderOptions options;
   options.package_size = 50;  // take (almost) everything
-  options.record_seen = false;
   Recommender recommender(f.registry, options);
   auto list = recommender.RecommendForUser(f.ctx, f.scenario.end_user);
   ASSERT_TRUE(list.ok());
@@ -92,8 +90,8 @@ TEST(RecommenderOptionsTest, GroupRunsRecordProvenanceTrail) {
   Fixture f;
   provenance::ProvenanceStore store;
   Recommender recommender(f.registry, {});
-  recommender.AttachProvenance(&store);
-  auto list = recommender.RecommendForGroup(f.ctx, f.scenario.curators);
+  auto list =
+      recommender.RecommendForGroup(f.ctx, f.scenario.curators, &store);
   ASSERT_TRUE(list.ok());
   // Group pipeline stages: context, candidates, gate, selection.
   EXPECT_EQ(list->provenance_trail.size(), 4u);
@@ -109,7 +107,6 @@ TEST(RecommenderOptionsTest, GroupStrategySwitchesChangeDiagnostics) {
   RecommenderOptions fair_options;
   fair_options.group.fairness_aware = true;
   fair_options.group.diversify = false;
-  fair_options.record_seen = false;
   RecommenderOptions misery_options = fair_options;
   misery_options.group.fairness_aware = false;
   misery_options.group.aggregation = GroupAggregation::kMostPleasure;
@@ -132,7 +129,6 @@ TEST(RecommenderOptionsTest, DiversityKindIsHonoured) {
                     DiversityKind::kSemantic}) {
     RecommenderOptions options;
     options.diversity = kind;
-    options.record_seen = false;
     Recommender recommender(f.registry, options);
     auto list = recommender.RecommendForUser(f.ctx, f.scenario.end_user);
     ASSERT_TRUE(list.ok());

@@ -69,6 +69,9 @@ TEST(RecommenderTest, RecordsSeenAndNoveltyDrops) {
   const size_t seen_before = user.seen_count();
   auto first = recommender.RecommendForUser(f.ctx, user);
   ASSERT_TRUE(first.ok());
+  EXPECT_EQ(user.seen_count(), seen_before);
+  // Delivering the list applies its receipt.
+  user.RecordSeen(DeliveredTerms(*first));
   EXPECT_GT(user.seen_count(), seen_before);
 
   // A second run over the same context yields lower novelty for the
@@ -92,23 +95,11 @@ TEST(RecommenderTest, RecordsSeenAndNoveltyDrops) {
   (void)any_repeat;  // repeats are likely but not guaranteed
 }
 
-TEST(RecommenderTest, RecordSeenCanBeDisabled) {
-  Fixture f;
-  RecommenderOptions options;
-  options.record_seen = false;
-  Recommender recommender(f.registry, options);
-  const size_t seen_before = f.scenario.end_user.seen_count();
-  auto list = recommender.RecommendForUser(f.ctx, f.scenario.end_user);
-  ASSERT_TRUE(list.ok());
-  EXPECT_EQ(f.scenario.end_user.seen_count(), seen_before);
-}
-
 TEST(RecommenderTest, ProvenanceTrailCoversPipeline) {
   Fixture f;
   provenance::ProvenanceStore store;
   Recommender recommender(f.registry, {});
-  recommender.AttachProvenance(&store);
-  auto list = recommender.RecommendForUser(f.ctx, f.scenario.end_user);
+  auto list = recommender.RecommendForUser(f.ctx, f.scenario.end_user, &store);
   ASSERT_TRUE(list.ok());
   // Stages: context, candidates, gate, scoring, selection.
   EXPECT_EQ(list->provenance_trail.size(), 5u);
@@ -192,7 +183,6 @@ TEST(RecommenderTest, NoveltyWeightChangesSelection) {
   // discriminates.
   profile::HumanProfile user = f.scenario.end_user;
   RecommenderOptions plain_options;
-  plain_options.record_seen = false;
   RecommenderOptions novelty_options = plain_options;
   novelty_options.novelty_weight = 0.9;
 

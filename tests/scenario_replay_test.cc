@@ -108,9 +108,6 @@ struct ReplayOutput {
 ServiceOptions ReplayServiceOptions(size_t threads) {
   ServiceOptions options;
   options.engine.threads = threads;
-  // The same user appears in many in-flight reads; delivery
-  // bookkeeping would make output depend on serve order.
-  options.recommender.record_seen = false;
   return options;
 }
 
@@ -126,9 +123,8 @@ ReplayOutput ReplaySequentialOracle(workload::Scenario& scenario,
   for (size_t i = 0; i < stream.events.size(); ++i) {
     const StreamEvent& event = stream.events[i];
     if (event.kind == StreamEvent::Kind::kRead) {
-      profile::HumanProfile prof = stream.users[event.user];
-      auto list =
-          service.Recommend(*scenario.vkb, event.before, event.after, prof);
+      auto list = service.Recommend(*scenario.vkb, event.before, event.after,
+                                    stream.users[event.user]);
       if (!list.ok()) {
         ++out.failures;
         continue;
@@ -174,19 +170,16 @@ ReplayOutput ReplayStressedSharded(const WorkloadStream& stream,
   std::vector<PendingRead> pending;
   auto serve_pending = [&](const std::vector<PendingRead>& reads) {
     // Sub-batch by version pair (RecommendBatch serves one pair);
-    // per-read output is order-independent because every read gets a
-    // fresh profile copy and record_seen is off.
+    // per-read output is order-independent because serving only reads
+    // its principals.
     std::map<std::pair<VersionId, VersionId>, std::vector<size_t>> groups;
     for (size_t k = 0; k < reads.size(); ++k) {
       groups[{reads[k].before, reads[k].after}].push_back(k);
     }
     for (const auto& [pair, indices] : groups) {
-      std::vector<profile::HumanProfile> profiles;
-      profiles.reserve(indices.size());
-      for (size_t k : indices) profiles.push_back(stream.users[reads[k].user]);
-      std::vector<profile::HumanProfile*> pointers;
-      pointers.reserve(profiles.size());
-      for (profile::HumanProfile& prof : profiles) pointers.push_back(&prof);
+      std::vector<const profile::HumanProfile*> pointers;
+      pointers.reserve(indices.size());
+      for (size_t k : indices) pointers.push_back(&stream.users[reads[k].user]);
       auto batch =
           service.RecommendBatch(sharded, pair.first, pair.second, pointers);
       if (!batch.ok()) {
@@ -378,9 +371,8 @@ TEST(ScenarioReplayFaultTest, DegradedExactlyDuringInjectedFaultWindow) {
   };
   for (const StreamEvent& event : stream.events) {
     if (event.kind == StreamEvent::Kind::kRead) {
-      profile::HumanProfile prof = stream.users[event.user];
-      auto list =
-          service.Recommend(*scenario.vkb, event.before, event.after, prof);
+      auto list = service.Recommend(*scenario.vkb, event.before, event.after,
+                                    stream.users[event.user]);
       ASSERT_TRUE(list.ok()) << list.status().ToString();
       EXPECT_EQ(list->degraded, backlog.has_value());
       if (list->degraded) ++degraded_observed;
