@@ -6,8 +6,8 @@
 // on the writer; the figure table records sustained req/s during the
 // commit storm, per-commit latency (commit + incremental engine
 // refresh), and the zero-flat-copy counter on the serving read path,
-// at 1/2/4/8 shards. The timing section is the committed BENCH_*
-// evidence.
+// at 1/2/4/8 shards. The timing section times the same paths under
+// Google Benchmark.
 //
 // Honesty note: on a single-core host the shard sweep measures
 // bookkeeping overhead, not parallel fan-out — the figure printer
@@ -234,7 +234,7 @@ void PrintConcurrentServingTable() {
       "is 0 — the serving path never materialises a whole-store copy.\n");
 }
 
-// Timing section — the committed BENCH_* evidence.
+// Timing section (Google Benchmark).
 
 // One warm 8-user batch served while a committer thread lands commits
 // in a loop: the sustained-serving rate under write pressure.

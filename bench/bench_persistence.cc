@@ -5,7 +5,7 @@
 // whole synthetic workload. The figure table records snapshot size
 // vs the equivalent N-Triples text (the ≤0.5× claim) and
 // cold-start-from-disk vs regenerate-in-memory (the ≥5× claim); the
-// timing section is the committed BENCH_* evidence.
+// timing section times the same paths under Google Benchmark.
 
 #include <benchmark/benchmark.h>
 
@@ -174,7 +174,7 @@ void PrintPersistenceTable() {
       "generator + commit + hash pipeline again.\n");
 }
 
-// Timing section — the committed BENCH_* evidence for the E12 claims.
+// Timing section — the E12 claims under Google Benchmark.
 
 constexpr PersistenceScale kTimedScale = {200, 12000, 24000, 4, 700};
 constexpr uint64_t kTimedSeed = 42;

@@ -3,8 +3,8 @@
 // memoized report set, and one candidate pool. Cold = the paper's
 // per-call processing model (context rebuilt per request); warm =
 // RecommendationService with a hot cache. The figure table records
-// req/s for 1→64 users and the thread sweep; the timing section is
-// the committed BENCH_* evidence.
+// req/s for 1→64 users and the thread sweep; the timing section
+// times the same paths under Google Benchmark.
 
 #include <benchmark/benchmark.h>
 
@@ -129,8 +129,8 @@ void PrintServingTable() {
       "until they are too cheap to matter.\n");
 }
 
-// Timing section — the committed BENCH_* evidence for the ≥10x
-// warm-batch speedup claim.
+// Timing section — the ≥10x warm-batch speedup claim under Google
+// Benchmark.
 
 // Cold baseline: 64 sequential per-call requests, context rebuilt
 // every time.

@@ -171,7 +171,7 @@ void PrintSloTables() {
       "either path.\n");
 }
 
-// Timing section — the committed BENCH_* evidence.
+// Timing section (Google Benchmark).
 
 // One sample into the streaming recorder: the cost added to every
 // served request (claimed: one relaxed increment + two CAS reads).

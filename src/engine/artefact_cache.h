@@ -75,9 +75,8 @@ class ArtefactCache {
  public:
   /// Supplies the snapshot of the version being cached on a miss.
   /// Called outside the cache lock; must be safe to invoke
-  /// concurrently with materializers of *other* fingerprints (callers
-  /// that materialise from one non-thread-safe source must lock inside
-  /// the materializer — see EvaluationEngine).
+  /// concurrently with materializers of *other* fingerprints, as
+  /// version::KbView::SharedSnapshot is.
   using Materializer =
       std::function<Result<std::shared_ptr<const rdf::KnowledgeBase>>()>;
 

@@ -106,24 +106,14 @@ EvaluationEngine::EvaluationEngine(const measures::MeasureRegistry& registry,
   }
 }
 
-std::unique_lock<std::mutex> EvaluationEngine::LockIfExternal(
-    const version::KbView& view) {
-  if (view.InternallySynchronized()) return std::unique_lock<std::mutex>();
-  return std::unique_lock<std::mutex>(vkb_mu_);
-}
-
 Result<std::pair<measures::VersionArtefacts, measures::VersionArtefacts>>
 EvaluationEngine::ArtefactPair(const version::KbView& view,
                                const version::SnapshotHandle& before,
                                const version::SnapshotHandle& after,
                                const measures::ContextOptions& context_options,
                                bool advance) {
-  const auto materialize = [&](version::VersionId v) {
-    return [this, &view,
-            v]() -> Result<std::shared_ptr<const rdf::KnowledgeBase>> {
-      auto lock = LockIfExternal(view);
-      return view.SharedSnapshot(v);
-    };
+  const auto materialize = [&view](version::VersionId v) {
+    return [&view, v]() { return view.SharedSnapshot(v); };
   };
   auto before_art = artefacts_.Get(before.fingerprint, context_options,
                                    materialize(before.id));
@@ -163,18 +153,9 @@ EvaluationEngine::ArtefactPair(const version::KbView& view,
 Result<std::shared_ptr<const SharedEvaluation>> EvaluationEngine::Evaluate(
     const version::KbView& view, version::VersionId v1, version::VersionId v2,
     measures::ContextOptions context_options) {
-  Result<version::SnapshotHandle> before = InternalError("unresolved");
-  Result<version::SnapshotHandle> after = InternalError("unresolved");
-  version::VersionId head = 0;
-  {
-    // Handles read the view's version vectors, which a concurrent
-    // CommitAndRefresh appends to — same lock as every other view
-    // touch (a no-op for internally synchronised views).
-    auto lock = LockIfExternal(view);
-    before = view.Handle(v1);
-    after = view.Handle(v2);
-    head = view.head();
-  }
+  const Result<version::SnapshotHandle> before = view.Handle(v1);
+  const Result<version::SnapshotHandle> after = view.Handle(v2);
+  const version::VersionId head = view.head();
   if (!before.ok()) return before.status();
   if (!after.ok()) return after.status();
   ContextKey key{before->fingerprint, after->fingerprint, context_options};
@@ -200,11 +181,7 @@ Result<std::shared_ptr<const SharedEvaluation>> EvaluationEngine::Evaluate(
     // Adjacent pair: the delta comes from v2's archived change set by
     // membership probes (equal to the store diff by contract), not an
     // O(T) store diff.
-    Result<version::ChangeSet> changes = InternalError("unresolved");
-    {
-      auto lock = LockIfExternal(view);
-      changes = view.Changes(v2);
-    }
+    const Result<version::ChangeSet> changes = view.Changes(v2);
     if (!changes.ok()) return changes.status();
     delta::LowLevelDelta delta =
         delta::DeltaFromCandidates(*before_art.snapshot, *changes);
@@ -274,34 +251,28 @@ EvaluationEngine::SharedEval EvaluationEngine::Peek(
 
 Result<EvaluationEngine::RefreshResult> EvaluationEngine::Refresh(
     const version::KbView& view, measures::ContextOptions context_options) {
-  version::VersionId head = 0;
-  Result<version::SnapshotHandle> prev = InternalError("unresolved");
-  Result<version::SnapshotHandle> curr = InternalError("unresolved");
-  uint64_t prev_prev_fingerprint = 0;
-  bool have_prev_prev = false;
-  version::ChangeSet changes;
-  {
-    auto lock = LockIfExternal(view);
-    if (view.version_count() < 2) {
-      return FailedPreconditionError(
-          "refresh needs at least one committed version");
-    }
-    head = view.head();
-    prev = view.Handle(head - 1);
-    curr = view.Handle(head);
-    if (head >= 2) {
-      auto pp = view.Handle(head - 2);
-      if (pp.ok()) {
-        prev_prev_fingerprint = pp->fingerprint;
-        have_prev_prev = true;
-      }
-    }
-    auto cs = view.Changes(head);
-    if (!cs.ok()) return cs.status();
-    changes = std::move(cs).value();
+  // Versions are immutable once published: reading the head once pins
+  // every later lookup to it, however many commits land meanwhile.
+  const version::VersionId head = view.head();
+  if (head == 0) {
+    return FailedPreconditionError(
+        "refresh needs at least one committed version");
   }
+  const Result<version::SnapshotHandle> prev = view.Handle(head - 1);
+  const Result<version::SnapshotHandle> curr = view.Handle(head);
   if (!prev.ok()) return prev.status();
   if (!curr.ok()) return curr.status();
+  uint64_t prev_prev_fingerprint = 0;
+  bool have_prev_prev = false;
+  if (head >= 2) {
+    auto pp = view.Handle(head - 2);
+    if (pp.ok()) {
+      prev_prev_fingerprint = pp->fingerprint;
+      have_prev_prev = true;
+    }
+  }
+  const Result<version::ChangeSet> changes = view.Changes(head);
+  if (!changes.ok()) return changes.status();
   const ContextKey key{prev->fingerprint, curr->fingerprint, context_options};
 
   const auto build = [&]() -> Result<measures::EvolutionContext> {
@@ -313,7 +284,7 @@ Result<EvaluationEngine::RefreshResult> EvaluationEngine::Refresh(
     // O(|δ|): the pair delta comes from the commit's archived change
     // set via membership probes, not an O(T) store diff.
     delta::LowLevelDelta delta =
-        delta::DeltaFromCandidates(*prev_art.snapshot, changes);
+        delta::DeltaFromCandidates(*prev_art.snapshot, *changes);
     // Advance the delta index from the preceding pair's when that
     // evaluation is still warm (keep it alive across the build).
     SharedEval preceding;
@@ -349,12 +320,9 @@ Result<EvaluationEngine::RefreshResult> EvaluationEngine::CommitAndRefresh(
     version::KbView& view, version::ChangeSet changes, std::string author,
     std::string message, uint64_t timestamp,
     measures::ContextOptions context_options) {
-  {
-    auto lock = LockIfExternal(view);
-    auto committed = view.Commit(std::move(changes), std::move(author),
-                                 std::move(message), timestamp);
-    if (!committed.ok()) return committed.status();
-  }
+  auto committed = view.Commit(std::move(changes), std::move(author),
+                               std::move(message), timestamp);
+  if (!committed.ok()) return committed.status();
   return Refresh(view, context_options);
 }
 
@@ -362,14 +330,11 @@ Result<measures::EvolutionTimeline> EvaluationEngine::Timeline(
     const version::KbView& view, std::string_view measure,
     version::VersionId first, version::VersionId last,
     measures::ContextOptions context_options) {
-  version::VersionId end = 0;
-  {
-    auto lock = LockIfExternal(view);
-    if (view.version_count() < 2) {
-      return FailedPreconditionError("timeline needs at least two versions");
-    }
-    end = std::min<version::VersionId>(last, view.head());
+  const version::VersionId head = view.head();
+  if (head == 0) {
+    return FailedPreconditionError("timeline needs at least two versions");
   }
+  const version::VersionId end = std::min<version::VersionId>(last, head);
   if (first >= end) {
     return InvalidArgumentError("empty version range for timeline");
   }

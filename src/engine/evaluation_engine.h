@@ -152,14 +152,11 @@ class SharedEvaluation {
 /// pool driving parallel work. Thread-safe; concurrent requests for
 /// the same missing key coalesce into one build (single-flight).
 ///
-/// Every entry point takes a version::KbView. The engine's internal
-/// vkb lock is taken around each view call only for views that are
-/// not internally synchronised — a VersionedKnowledgeBase, whose lazy
-/// snapshot cache is not thread-safe. Route all concurrent access to
-/// one VersionedKnowledgeBase through one engine, commits included
-/// (CommitAndRefresh). A version::ShardedKnowledgeBase synchronises
-/// itself, so its snapshot pins run lock-free through the engine:
-/// readers never block on a concurrent CommitAndRefresh.
+/// Every entry point takes a version::KbView, which synchronises
+/// itself (one committer at a time, any number of readers), so the
+/// engine calls it without a lock of its own: readers never block on a
+/// concurrent CommitAndRefresh, including its commit-log append and
+/// fsync.
 class EvaluationEngine {
  public:
   /// `registry` must outlive the engine.
@@ -199,12 +196,9 @@ class EvaluationEngine {
 
   /// The serving loop's write path: commits `changes` to `view` and
   /// refreshes in one step. Safe to call while other threads serve
-  /// requests through the same engine — one committer at a time. A
-  /// VersionedKnowledgeBase commits under the engine's vkb lock, like
-  /// every other touch of it; an internally synchronised view (a
-  /// ShardedKnowledgeBase) commits without it, so in-flight reads keep
-  /// flowing while it lands — the view's own publish point is the only
-  /// synchronisation between them.
+  /// requests through the same engine — one committer at a time. In-
+  /// flight reads keep flowing while the commit lands: the view's own
+  /// publish point is the only synchronisation between them.
   Result<RefreshResult> CommitAndRefresh(
       version::KbView& view, version::ChangeSet changes, std::string author,
       std::string message, uint64_t timestamp = 0,
@@ -262,18 +256,12 @@ class EvaluationEngine {
   /// The artefact bundles of the (before, after) pair, from the
   /// artefact cache — `after` advanced from `before` through
   /// ArtefactCache::Refresh when `advance` (a commit refresh) —
-  /// materialising misses from `view` under LockIfExternal. Shared by
-  /// Evaluate and Refresh.
+  /// materialising misses from `view`. Shared by Evaluate and Refresh.
   Result<std::pair<measures::VersionArtefacts, measures::VersionArtefacts>>
   ArtefactPair(const version::KbView& view,
                const version::SnapshotHandle& before,
                const version::SnapshotHandle& after,
                const measures::ContextOptions& context_options, bool advance);
-
-  /// The engine's vkb lock when `view` needs external serialisation,
-  /// an empty (unlocked) guard when the view synchronises itself —
-  /// the single switch that lets sharded readers bypass the lock.
-  std::unique_lock<std::mutex> LockIfExternal(const version::KbView& view);
 
   const measures::MeasureRegistry& registry_;
   EngineOptions options_;
@@ -283,12 +271,6 @@ class EvaluationEngine {
   ArtefactCache artefacts_;
 
   mutable std::mutex mu_;
-  // Serialises calls into views that are not internally synchronised:
-  // a VersionedKnowledgeBase's lazy snapshot cache is not thread-safe,
-  // and distinct-key builds may target one vkb concurrently. Only the
-  // view calls run under this lock — the expensive context build does
-  // not.
-  std::mutex vkb_mu_;
   // LRU: most-recent at the front; lookup_ points into lru_.
   std::list<std::pair<ContextKey, SharedEval>> lru_;
   std::unordered_map<ContextKey,

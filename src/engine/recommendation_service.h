@@ -129,9 +129,9 @@ struct ServiceHealth {
 /// Every read entry point funnels into one serving core: a single
 /// request is a batch of one, and user vs group only picks the
 /// admission lane and the recommender pipeline. Every entry point takes
-/// a version::KbView — a VersionedKnowledgeBase, or a
-/// version::ShardedKnowledgeBase whose snapshot pins run lock-free, so
-/// reads proceed at full fan-out while a concurrent Commit lands.
+/// a version::KbView — a durable VersionedKnowledgeBase or a
+/// version::ShardedKnowledgeBase — whose snapshot pins never wait for
+/// a commit, so reads proceed at full fan-out while a Commit lands.
 ///
 /// Thread-safe: one service may serve concurrent callers. Principals
 /// are read-only, so any number of concurrent requests, and the slots
@@ -211,9 +211,8 @@ class RecommendationService {
   /// engine's pinned last-good state keeps serving — and the next
   /// successful Commit flips it back to kHealthy.
   ///
-  /// With an internally synchronised view (a ShardedKnowledgeBase) the
-  /// commit never takes the engine's vkb lock, so concurrent reads
-  /// through this service keep flowing while it lands.
+  /// Concurrent reads through this service keep flowing while the
+  /// commit lands, its commit-log append and fsync included.
   Result<version::VersionId> Commit(version::KbView& view,
                                     version::ChangeSet changes,
                                     std::string author, std::string message,

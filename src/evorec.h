@@ -95,7 +95,6 @@
 #include "storage/commit_log.h"
 #include "storage/fault_env.h"
 #include "storage/format.h"
-#include "storage/segment_io.h"
 #include "storage/snapshot.h"
 #include "version/history_query.h"
 #include "version/kb_view.h"

@@ -22,10 +22,6 @@ inline constexpr char kSnapshotMagic[8] = {'E', 'V', 'O', 'R',
 /// Commit-log file magic: ASCII "EVORECL1" (L = log).
 inline constexpr char kLogMagic[8] = {'E', 'V', 'O', 'R',
                                       'E', 'C', 'L', '1'};
-/// Segment-container magic: ASCII "EVORECG1" (G = segments) — the
-/// segment-preserving store image of storage/segment_io.h.
-inline constexpr char kSegmentsMagic[8] = {'E', 'V', 'O', 'R',
-                                           'E', 'C', 'G', '1'};
 /// Per-record sync marker inside a commit log ("RECL" little-endian).
 inline constexpr uint32_t kRecordMagic = 0x4C434552;
 
@@ -37,8 +33,6 @@ inline constexpr uint32_t kFormatVersion = 1;
 /// Section ids inside a snapshot.
 inline constexpr uint32_t kSectionTerms = 1;
 inline constexpr uint32_t kSectionTriples = 2;
-/// Section id of one frozen segment inside a segment container.
-inline constexpr uint32_t kSectionSegment = 3;
 
 /// Appends one term: kind byte, length-prefixed lexical, and (for
 /// literals) length-prefixed datatype + language.

@@ -36,10 +36,13 @@ struct SnapshotHandle {
 /// EvaluationEngine / RecommendationService need to serve and commit —
 /// cheap fingerprint handles for cache keys, pinned immutable
 /// snapshots, archived change sets, and the head pointer. Implemented
-/// by VersionedKnowledgeBase itself (not internally synchronised: the
-/// engine serialises every call under its vkb lock) and by
-/// ShardedKnowledgeBase (N segmented shards, internally synchronised,
-/// so readers never block on the writer).
+/// by VersionedKnowledgeBase (durable through its commit log) and by
+/// ShardedKnowledgeBase (N segmented shards).
+///
+/// Concurrency contract, shared by every implementation: one committer
+/// at a time and any number of concurrent readers. Each view publishes
+/// immutable versions under its own brief lock, so readers never wait
+/// for a commit to land and callers need no lock of their own.
 class KbView {
  public:
   virtual ~KbView() = default;
@@ -69,14 +72,6 @@ class KbView {
   virtual Result<VersionId> Commit(ChangeSet changes, std::string author,
                                    std::string message,
                                    uint64_t timestamp = 0) = 0;
-
-  /// True when the implementation serialises its own internal state.
-  /// The engine then calls this view concurrently from readers and the
-  /// committer *without* wrapping calls in its vkb lock — the
-  /// concurrency contract "readers never block on the writer" depends
-  /// on the implementation pinning immutable snapshots instead of
-  /// handing out references into mutable state.
-  virtual bool InternallySynchronized() const = 0;
 
  protected:
   KbView() = default;

@@ -210,8 +210,6 @@ ShardedKnowledgeBase::BuildUnionSnapshot() const {
 }
 
 size_t ShardedKnowledgeBase::StorageBytes() const {
-  // Accounting only — call from the committer thread or when
-  // quiescent (it walks shard internals commits mutate).
   std::unordered_set<const void*> seen;
   size_t bytes = 0;
   for (const VersionedKnowledgeBase& shard : shards_) {

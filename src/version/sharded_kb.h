@@ -35,13 +35,11 @@ namespace evorec::version {
 /// restores global SPO order, so scans over a union snapshot are
 /// byte-identical to the same scans over an unsharded store.
 ///
-/// Concurrency contract: all public methods are internally
-/// synchronised (InternallySynchronized() == true) with the
-/// restriction that commits are serialised by the caller — one
-/// committer at a time, any number of concurrent readers. The shared
-/// dictionary must only be interned into by the committer thread
-/// (intern terms before Commit; readers resolve ids against the
-/// dictionary snapshot-free because interning is append-only).
+/// Concurrency contract (see KbView): one committer at a time, any
+/// number of concurrent readers. The shared dictionary must only be
+/// interned into by the committer thread (intern terms before Commit;
+/// readers resolve ids against the dictionary snapshot-free because
+/// interning is append-only).
 ///
 /// Not supported: commit logs (attach them to an unsharded KB; the
 /// shard split is an in-memory serving arrangement, not a durability
@@ -85,7 +83,6 @@ class ShardedKnowledgeBase final : public KbView {
   Result<VersionId> Commit(ChangeSet changes, std::string author,
                            std::string message,
                            uint64_t timestamp = 0) override;
-  bool InternallySynchronized() const override { return true; }
 
   /// Commit metadata for `v`.
   Result<VersionInfo> Info(VersionId v) const;
@@ -129,9 +126,8 @@ class ShardedKnowledgeBase final : public KbView {
 
   Options options_;
   std::shared_ptr<rdf::Dictionary> dictionary_;
-  // Mutated only by the (externally serialised) committer; shard
-  // *reads* never happen concurrently with shard commits because
-  // readers go through pinned union snapshots instead.
+  // Committed only by Commit (one committer at a time); readers go
+  // through the pinned union snapshots instead.
   std::vector<VersionedKnowledgeBase> shards_;
   // Guards entries_ only — the publish point between the committer
   // and readers. Held for O(1) appends and lookups, never while

@@ -74,21 +74,34 @@ VersionedKnowledgeBase::VersionedKnowledgeBase(
       checkpoint_interval_(std::max<size_t>(1, checkpoint_interval)),
       dictionary_(initial.shared_dictionary()),
       vocabulary_(rdf::Vocabulary::Intern(*dictionary_)) {
-  VersionInfo base;
-  base.id = 0;
-  base.author = "system";
-  base.message = "base version";
-  infos_.push_back(base);
-  stores_.push_back(std::move(initial));
-  change_sets_.emplace_back();
+  VersionEntry base;
+  base.info.author = "system";
+  base.info.message = "base version";
   // Base fingerprint: content hash of the canonical (SPO-sorted)
   // triples, so equal base snapshots fingerprint equally — unless the
   // caller (recovery) supplies the chained value a snapshot recorded.
-  fingerprints_.push_back(base_fingerprint.has_value()
-                              ? *base_fingerprint
-                              : HashTriples(0xCBF29CE484222325ULL,
-                                            stores_[0].store().triples()));
+  base.fingerprint =
+      base_fingerprint.has_value()
+          ? *base_fingerprint
+          : HashTriples(0xCBF29CE484222325ULL, initial.store().triples());
+  // Frozen before it is shared: concurrent readers copy it, and const
+  // reads of a store with buffered mutations would compact it in place.
+  initial.store().Compact();
+  base.snapshot =
+      std::make_shared<const rdf::KnowledgeBase>(std::move(initial));
+  entries_.push_back(std::move(base));
 }
+
+VersionedKnowledgeBase::VersionedKnowledgeBase(
+    VersionedKnowledgeBase&& other) noexcept
+    : policy_(other.policy_),
+      checkpoint_interval_(other.checkpoint_interval_),
+      dictionary_(std::move(other.dictionary_)),
+      vocabulary_(std::move(other.vocabulary_)),
+      term_hashes_(std::move(other.term_hashes_)),
+      log_(other.log_),
+      logged_terms_(other.logged_terms_),
+      entries_(std::move(other.entries_)) {}
 
 void VersionedKnowledgeBase::AttachCommitLog(storage::CommitLog* log) {
   log_ = log;
@@ -136,22 +149,30 @@ Result<VersionId> VersionedKnowledgeBase::Commit(ChangeSet changes,
                                                  std::string author,
                                                  std::string message,
                                                  uint64_t timestamp) {
-  const VersionId new_id = static_cast<VersionId>(infos_.size());
-  const size_t additions = changes.additions.size();
-  const size_t removals = changes.removals.size();
-  const uint64_t fingerprint =
-      ChainFingerprint(fingerprints_.back(), changes);
+  // One committer at a time: only Commit appends entries, so the head
+  // read here stays the head until the publish below.
+  VersionId new_id = 0;
+  uint64_t parent_fingerprint = 0;
+  std::shared_ptr<const rdf::KnowledgeBase> parent;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    new_id = static_cast<VersionId>(entries_.size());
+    parent_fingerprint = entries_.back().fingerprint;
+    parent = entries_.back().snapshot;
+  }
+  VersionEntry entry;
+  entry.fingerprint = ChainFingerprint(parent_fingerprint, changes);
 
   if (log_ != nullptr) {
-    // Write-ahead: the record must be on the log before any in-memory
-    // state changes, so a failed append fails the whole commit and a
+    // Write-ahead: the record must be on the log before the version is
+    // published, so a failed append fails the whole commit and a
     // recovered replica can never be *ahead* of the log.
     storage::DeltaRecord record;
     record.version_id = new_id;
     record.timestamp = timestamp;
     record.author = author;
     record.message = message;
-    record.fingerprint = fingerprint;
+    record.fingerprint = entry.fingerprint;
     record.first_term_id = logged_terms_;
     const rdf::TermId dict_size =
         static_cast<rdf::TermId>(dictionary_->size());
@@ -165,92 +186,107 @@ Result<VersionId> VersionedKnowledgeBase::Commit(ChangeSet changes,
     logged_terms_ = dict_size;
   }
 
-  switch (policy_) {
-    case ArchivePolicy::kFullMaterialization:
-      stores_.push_back(ApplyChanges(stores_.back(), changes));
-      change_sets_.push_back(std::move(changes));
-      break;
-    case ArchivePolicy::kDeltaChain:
-      change_sets_.push_back(std::move(changes));
-      break;
-    case ArchivePolicy::kHybridCheckpoint: {
-      if (new_id % checkpoint_interval_ == 0) {
-        // Materialise this version once and keep it as a checkpoint;
-        // reuse the previous checkpoint (or base) as the replay start.
-        auto materialized = MaterializeUncached(new_id - 1);
-        if (!materialized.ok()) return materialized.status();
-        checkpoints_.emplace(
-            new_id, ApplyChanges(std::move(materialized).value(), changes));
-      }
-      change_sets_.push_back(std::move(changes));
-      break;
-    }
+  if (policy_ == ArchivePolicy::kFullMaterialization) {
+    entry.snapshot = std::make_shared<const rdf::KnowledgeBase>(
+        ApplyChanges(*parent, changes));
+  } else if (Archived(new_id)) {
+    // A hybrid checkpoint: materialise this version once, replaying
+    // from the previous checkpoint (or base).
+    auto materialized = MaterializeUncached(new_id - 1);
+    if (!materialized.ok()) return materialized.status();
+    entry.snapshot = std::make_shared<const rdf::KnowledgeBase>(
+        ApplyChanges(std::move(materialized).value(), changes));
   }
+  entry.info.id = new_id;
+  entry.info.author = std::move(author);
+  entry.info.message = std::move(message);
+  entry.info.timestamp = timestamp;
+  entry.info.additions = changes.additions.size();
+  entry.info.removals = changes.removals.size();
+  entry.changes = std::make_shared<const ChangeSet>(std::move(changes));
 
-  VersionInfo info;
-  info.id = new_id;
-  info.author = std::move(author);
-  info.message = std::move(message);
-  info.timestamp = timestamp;
-  info.additions = additions;
-  info.removals = removals;
-  infos_.push_back(std::move(info));
-  fingerprints_.push_back(fingerprint);
+  // Publish: the only point the committer touches reader-visible
+  // state, held just long enough for one vector append.
+  std::lock_guard<std::mutex> lock(mu_);
+  entries_.push_back(std::move(entry));
   return new_id;
 }
 
+size_t VersionedKnowledgeBase::version_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return entries_.size();
+}
+
+VersionId VersionedKnowledgeBase::head() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<VersionId>(entries_.size() - 1);
+}
+
 Result<SnapshotHandle> VersionedKnowledgeBase::Handle(VersionId v) const {
-  if (v >= infos_.size()) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (v >= entries_.size()) {
     return NotFoundError("unknown version " + std::to_string(v));
   }
   SnapshotHandle handle;
   handle.id = v;
-  handle.fingerprint = fingerprints_[v];
+  handle.fingerprint = entries_[v].fingerprint;
   return handle;
 }
 
 Result<VersionInfo> VersionedKnowledgeBase::Info(VersionId v) const {
-  if (v >= infos_.size()) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (v >= entries_.size()) {
     return NotFoundError("unknown version " + std::to_string(v));
   }
-  return infos_[v];
+  return entries_[v].info;
 }
 
 Result<ChangeSet> VersionedKnowledgeBase::Changes(VersionId v) const {
-  if (v >= infos_.size()) {
-    return NotFoundError("unknown version " + std::to_string(v));
-  }
-  if (v == 0) {
-    return FailedPreconditionError("version 0 has no change set");
+  std::shared_ptr<const ChangeSet> changes;
+  std::shared_ptr<const rdf::KnowledgeBase> parent;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (v >= entries_.size()) {
+      return NotFoundError("unknown version " + std::to_string(v));
+    }
+    if (v == 0) {
+      return FailedPreconditionError("version 0 has no change set");
+    }
+    changes = entries_[v].changes;
+    if (policy_ == ArchivePolicy::kFullMaterialization) {
+      parent = entries_[v - 1].snapshot;
+    }
   }
   if (policy_ == ArchivePolicy::kFullMaterialization) {
     // The archived set as committed, reduced to its net effect — the
     // diff of the adjacent stores, by membership probes.
-    return NetChanges(stores_[v - 1], change_sets_[v]);
+    return NetChanges(*parent, *changes);
   }
-  return change_sets_[v];
+  return *changes;
+}
+
+bool VersionedKnowledgeBase::Archived(VersionId v) const {
+  return v == 0 || policy_ == ArchivePolicy::kFullMaterialization ||
+         (policy_ == ArchivePolicy::kHybridCheckpoint &&
+          v % checkpoint_interval_ == 0);
 }
 
 Result<rdf::KnowledgeBase> VersionedKnowledgeBase::MaterializeUncached(
     VersionId v) const {
-  if (v >= infos_.size()) {
-    return NotFoundError("unknown version " + std::to_string(v));
-  }
-  if (policy_ == ArchivePolicy::kFullMaterialization) {
-    return stores_[v];
-  }
-  // Find the nearest materialised ancestor: a hybrid checkpoint or the
-  // base snapshot.
-  VersionId start = 0;
-  const rdf::KnowledgeBase* base = &stores_[0];
-  if (policy_ == ArchivePolicy::kHybridCheckpoint && !checkpoints_.empty()) {
-    const VersionId candidate =
-        (v / static_cast<VersionId>(checkpoint_interval_)) *
-        static_cast<VersionId>(checkpoint_interval_);
-    auto it = checkpoints_.find(candidate);
-    if (it != checkpoints_.end()) {
-      start = candidate;
-      base = &it->second;
+  // Copy the pointers of the nearest archived ancestor and the change
+  // sets after it; the replay itself runs outside the lock.
+  std::shared_ptr<const rdf::KnowledgeBase> base;
+  std::vector<std::shared_ptr<const ChangeSet>> chain;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (v >= entries_.size()) {
+      return NotFoundError("unknown version " + std::to_string(v));
+    }
+    VersionId start = v;
+    while (!Archived(start)) --start;
+    base = entries_[start].snapshot;
+    for (VersionId i = start + 1; i <= v; ++i) {
+      chain.push_back(entries_[i].changes);
     }
   }
   // Batched replay: the copy drops the base's stale secondary
@@ -258,73 +294,70 @@ Result<rdf::KnowledgeBase> VersionedKnowledgeBase::MaterializeUncached(
   // the store's last-wins pending buffer and are applied by a single
   // incremental merge at the end instead of one re-index per version.
   rdf::KnowledgeBase kb = *base;
-  for (VersionId i = start + 1; i <= v; ++i) {
-    kb.store().AddAll(change_sets_[i].additions);
-    kb.store().RemoveAll(change_sets_[i].removals);
+  for (const std::shared_ptr<const ChangeSet>& changes : chain) {
+    kb.store().AddAll(changes->additions);
+    kb.store().RemoveAll(changes->removals);
   }
   kb.store().Compact();
   return kb;
 }
 
+Result<std::shared_ptr<const rdf::KnowledgeBase>>
+VersionedKnowledgeBase::Materialized(VersionId v) const {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (v >= entries_.size()) {
+      return NotFoundError("unknown version " + std::to_string(v));
+    }
+    if (entries_[v].snapshot != nullptr) return entries_[v].snapshot;
+  }
+  auto replayed = MaterializeUncached(v);
+  if (!replayed.ok()) return replayed.status();
+  auto kb = std::make_shared<const rdf::KnowledgeBase>(
+      std::move(replayed).value());
+  // Readers replaying one version concurrently all return the first
+  // fill, so every caller shares one cached store.
+  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_ptr<const rdf::KnowledgeBase>& cached = entries_[v].snapshot;
+  if (cached == nullptr) cached = std::move(kb);
+  return cached;
+}
+
 Result<const rdf::KnowledgeBase*> VersionedKnowledgeBase::Snapshot(
     VersionId v) const {
-  if (v >= infos_.size()) {
-    return NotFoundError("unknown version " + std::to_string(v));
-  }
-  if (policy_ == ArchivePolicy::kFullMaterialization) {
-    return &stores_[v];
-  }
-  if (v == 0) {
-    return &stores_[0];
-  }
-  if (policy_ == ArchivePolicy::kHybridCheckpoint) {
-    auto checkpoint = checkpoints_.find(v);
-    if (checkpoint != checkpoints_.end()) {
-      return &checkpoint->second;
-    }
-  }
-  auto it = cache_.find(v);
-  if (it == cache_.end()) {
-    auto materialized = MaterializeUncached(v);
-    if (!materialized.ok()) return materialized.status();
-    it = cache_.emplace(v, std::move(materialized).value()).first;
-  }
-  return &it->second;
+  auto kb = Materialized(v);
+  if (!kb.ok()) return kb.status();
+  return kb->get();
 }
 
 Result<std::shared_ptr<const rdf::KnowledgeBase>>
 VersionedKnowledgeBase::SharedSnapshot(VersionId v) const {
-  auto kb = Snapshot(v);
+  auto kb = Materialized(v);
   if (!kb.ok()) return kb.status();
+  // Hand each caller its own segment-sharing copy rather than the
+  // entry's store itself: a TripleStore is thread-compatible, not
+  // thread-safe — concurrent first-use POS/OSP builds on one shared
+  // store would race. The copy is O(#segments) pointer sharing, zero
+  // triple copies, and gives the caller private lazy indexes.
   return std::make_shared<const rdf::KnowledgeBase>(**kb);
 }
 
-void VersionedKnowledgeBase::EvictSnapshotCache() const { cache_.clear(); }
+void VersionedKnowledgeBase::EvictSnapshotCache() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (VersionId v = 0; v < entries_.size(); ++v) {
+    if (!Archived(v)) entries_[v].snapshot.reset();
+  }
+}
 
 size_t VersionedKnowledgeBase::StorageBytes() const {
   // Asks each store for its actual footprint (only the permutation
   // indexes it has really materialised, plus pending buffers) and
-  // includes the lazily-filled snapshot cache. Gross accounting: a
-  // frozen segment shared by several versions is billed by each
-  // holder, which is how the archive-policy comparison has always
-  // been scored (full materialization pays per version even though
-  // the segmented store shares the bytes underneath).
-  size_t bytes = 0;
-  for (const rdf::KnowledgeBase& kb : stores_) {
-    bytes += kb.store().MemoryBytes();
-  }
-  for (const auto& [v, kb] : checkpoints_) {
-    (void)v;
-    bytes += kb.store().MemoryBytes();
-  }
-  for (const auto& [v, kb] : cache_) {
-    (void)v;
-    bytes += kb.store().MemoryBytes();
-  }
-  for (const ChangeSet& cs : change_sets_) {
-    bytes += cs.size() * sizeof(rdf::Triple);
-  }
-  return bytes;
+  // includes the cached replays. Gross accounting: a frozen segment
+  // shared by several versions is billed by each holder, which is how
+  // the archive-policy comparison has always been scored (full
+  // materialization pays per version even though the segmented store
+  // shares the bytes underneath).
+  return SumStorage(nullptr);
 }
 
 size_t VersionedKnowledgeBase::StorageBytes(
@@ -333,20 +366,22 @@ size_t VersionedKnowledgeBase::StorageBytes(
   // share frozen segments, and the shards of a ShardedKnowledgeBase
   // share them with the pinned union snapshots — each immutable run
   // is billed once across every store probed with the same `seen`.
+  return SumStorage(&seen);
+}
+
+size_t VersionedKnowledgeBase::SumStorage(
+    std::unordered_set<const void*>* seen) const {
+  std::lock_guard<std::mutex> lock(mu_);
   size_t bytes = 0;
-  for (const rdf::KnowledgeBase& kb : stores_) {
-    bytes += kb.store().MemoryBytesDedup(seen);
-  }
-  for (const auto& [v, kb] : checkpoints_) {
-    (void)v;
-    bytes += kb.store().MemoryBytesDedup(seen);
-  }
-  for (const auto& [v, kb] : cache_) {
-    (void)v;
-    bytes += kb.store().MemoryBytesDedup(seen);
-  }
-  for (const ChangeSet& cs : change_sets_) {
-    bytes += cs.size() * sizeof(rdf::Triple);
+  for (const VersionEntry& entry : entries_) {
+    if (entry.snapshot != nullptr) {
+      const rdf::TripleStore& store = entry.snapshot->store();
+      bytes += seen != nullptr ? store.MemoryBytesDedup(*seen)
+                               : store.MemoryBytes();
+    }
+    if (entry.changes != nullptr) {
+      bytes += entry.changes->size() * sizeof(rdf::Triple);
+    }
   }
   return bytes;
 }

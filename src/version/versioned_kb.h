@@ -2,9 +2,9 @@
 #define EVOREC_VERSION_VERSIONED_KB_H_
 
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -28,10 +28,18 @@ ChangeSet NetChanges(const rdf::KnowledgeBase& base, const ChangeSet& changes);
 /// term dictionary so TermIds are stable across versions — the
 /// invariant every evolution measure depends on.
 ///
-/// Storage follows the configured ArchivePolicy; snapshots are
-/// materialised lazily and cached. Not thread-safe: as a KbView it
-/// reports InternallySynchronized() == false, so the engine serialises
-/// every call under its vkb lock.
+/// Storage follows the configured ArchivePolicy. Every version is one
+/// published entry: its metadata, chained fingerprint, archived change
+/// set and, where the policy archives it or a reader asked for it, the
+/// materialised store. A change-set version is replayed on first read
+/// and cached in its entry.
+///
+/// Concurrency contract: one committer at a time, any number of
+/// concurrent readers. Commit fingerprints, appends to the commit log
+/// and builds the new store outside the entries mutex and publishes
+/// with one append; readers copy pointers under it, so a read never
+/// waits for a commit's log append or fsync. The shared dictionary must
+/// only be interned into by the committer thread.
 class VersionedKnowledgeBase final : public KbView {
  public:
   /// Creates a KB whose version 0 is empty. `checkpoint_interval`
@@ -58,8 +66,9 @@ class VersionedKnowledgeBase final : public KbView {
 
   VersionedKnowledgeBase(const VersionedKnowledgeBase&) = delete;
   VersionedKnowledgeBase& operator=(const VersionedKnowledgeBase&) = delete;
-  VersionedKnowledgeBase(VersionedKnowledgeBase&&) = default;
-  VersionedKnowledgeBase& operator=(VersionedKnowledgeBase&&) = default;
+  /// Moves every version; the entries mutex stays behind (a moved-from
+  /// or moved-to KB must not be in use by another thread).
+  VersionedKnowledgeBase(VersionedKnowledgeBase&& other) noexcept;
 
   /// Applies `changes` on top of the head version, creating a new
   /// version. Returns the new version id. Empty change sets are legal
@@ -87,12 +96,10 @@ class VersionedKnowledgeBase final : public KbView {
   storage::CommitLog* commit_log() const { return log_; }
 
   /// Number of versions (head id + 1).
-  size_t version_count() const override { return infos_.size(); }
+  size_t version_count() const override;
 
   /// Id of the latest version.
-  VersionId head() const override {
-    return static_cast<VersionId>(infos_.size() - 1);
-  }
+  VersionId head() const override;
 
   /// Commit metadata for `v`.
   Result<VersionInfo> Info(VersionId v) const;
@@ -103,14 +110,18 @@ class VersionedKnowledgeBase final : public KbView {
   /// the diff of the two stores).
   Result<ChangeSet> Changes(VersionId v) const override;
 
-  /// Materialised snapshot of version `v` (cached; the reference stays
-  /// valid until EvictSnapshotCache or destruction).
+  /// The materialised store of version `v` itself — archived, or
+  /// replayed and cached in its entry; the reference stays valid until
+  /// EvictSnapshotCache or destruction. For single-threaded callers
+  /// only: reads build the store's lazy indexes in place, which would
+  /// race with concurrent readers. Those use SharedSnapshot.
   Result<const rdf::KnowledgeBase*> Snapshot(VersionId v) const;
 
-  /// A copy of Snapshot(v) the caller owns. A segmented store copy
-  /// shares frozen segments — O(#segments), not O(triples) — and
-  /// detaches the snapshot from the lazy cache, so the caller may hold
-  /// it across EvictSnapshotCache and later commits.
+  /// The caller's own copy of version `v`'s store. A segmented store
+  /// copy shares frozen segments — O(#segments), not O(triples) — and
+  /// carries private lazy indexes, so concurrent readers never touch
+  /// shared mutable state, and the caller may hold it across
+  /// EvictSnapshotCache and later commits.
   Result<std::shared_ptr<const rdf::KnowledgeBase>> SharedSnapshot(
       VersionId v) const override;
 
@@ -119,20 +130,18 @@ class VersionedKnowledgeBase final : public KbView {
   /// incrementally at commit time).
   Result<SnapshotHandle> Handle(VersionId v) const override;
 
-  bool InternallySynchronized() const override { return false; }
-
-  /// Reconstructs `v` without touching the cache — used by benches to
-  /// measure reconstruction cost under kDeltaChain.
+  /// Reconstructs `v` from its nearest archived ancestor without
+  /// touching the cache — used by benches to measure reconstruction
+  /// cost under kDeltaChain.
   Result<rdf::KnowledgeBase> MaterializeUncached(VersionId v) const;
 
-  /// Drops cached snapshots (keeps version 0 and, under full
-  /// materialisation, all stored versions).
+  /// Drops cached replays (keeps version 0, hybrid checkpoints and,
+  /// under full materialisation, every version).
   void EvictSnapshotCache() const;
 
-  /// Approximate resident bytes of version storage: base/materialised
-  /// stores and checkpoints (counting only the permutation indexes
-  /// each store has actually built), the snapshot cache, and archived
-  /// change sets.
+  /// Approximate resident bytes of version storage: every materialised
+  /// store, archived or cached (counting only the permutation indexes
+  /// each store has actually built), and the archived change sets.
   size_t StorageBytes() const;
 
   /// Same accounting with a caller-owned dedup set, so callers holding
@@ -157,6 +166,35 @@ class VersionedKnowledgeBase final : public KbView {
                          size_t checkpoint_interval,
                          std::optional<uint64_t> base_fingerprint);
 
+  /// One published version. Immutable once published, except that a
+  /// change-set version caches its replay in `snapshot` (the first fill
+  /// wins; EvictSnapshotCache drops it again).
+  struct VersionEntry {
+    VersionInfo info;
+    /// Chains the base-content hash with every change set up to this
+    /// version (see SnapshotHandle).
+    uint64_t fingerprint = 0;
+    /// The set that produced this version, as committed (so Changes()
+    /// never diffs stores); null for version 0.
+    std::shared_ptr<const ChangeSet> changes;
+    /// The materialised store: archived for version 0, for every
+    /// version under kFullMaterialization and for hybrid checkpoints;
+    /// otherwise a cached replay, or null.
+    mutable std::shared_ptr<const rdf::KnowledgeBase> snapshot;
+  };
+
+  /// Whether the policy archives version `v`'s store (never evicted).
+  bool Archived(VersionId v) const;
+
+  /// Version `v`'s store, replaying it outside the lock and caching it
+  /// in its entry on a miss.
+  Result<std::shared_ptr<const rdf::KnowledgeBase>> Materialized(
+      VersionId v) const;
+
+  /// Both StorageBytes accountings: gross, or deduplicated across
+  /// `seen` when it is non-null.
+  size_t SumStorage(std::unordered_set<const void*>* seen) const;
+
   /// Content hash of one term (memoized per TermId; terms are
   /// immutable once interned).
   uint64_t TermContentHash(rdf::TermId id);
@@ -169,28 +207,18 @@ class VersionedKnowledgeBase final : public KbView {
   size_t checkpoint_interval_;
   std::shared_ptr<rdf::Dictionary> dictionary_;
   rdf::Vocabulary vocabulary_;
-  std::vector<VersionInfo> infos_;
-  // fingerprints_[v] chains the base-content hash with every change
-  // set up to v (see SnapshotHandle).
-  std::vector<uint64_t> fingerprints_;
-  // Memoized per-term content hashes (0 = not yet computed).
+  // Committer-only state: memoized per-term content hashes (0 = not
+  // yet computed), the attached log (unused until AttachCommitLog) and
+  // the dictionary watermark of its last record — terms with ids >=
+  // logged_terms_ still need shipping.
   std::vector<uint64_t> term_hashes_;
-  // kFullMaterialization: stores_[v] is version v; change_sets_[v] is
-  // the set that produced it, as committed (so Changes() never diffs
-  // stores).
-  // kDeltaChain / kHybridCheckpoint: stores_[0] is the base; later
-  // versions live in change_sets_ (and, for hybrid, checkpoints_).
-  std::vector<rdf::KnowledgeBase> stores_;
-  std::vector<ChangeSet> change_sets_;  // change_sets_[v] produced v; [0] empty
-  // kHybridCheckpoint: full snapshots at versions that are multiples
-  // of checkpoint_interval_.
-  std::unordered_map<VersionId, rdf::KnowledgeBase> checkpoints_;
-  mutable std::unordered_map<VersionId, rdf::KnowledgeBase> cache_;
-  // Durability (both unused until AttachCommitLog): the attached log
-  // and the dictionary watermark of the last appended record — terms
-  // with ids >= logged_terms_ still need shipping.
   storage::CommitLog* log_ = nullptr;
   rdf::TermId logged_terms_ = 0;
+  // Guards entries_ — the publish point between the committer and
+  // readers. Held only to read or append entries and to fill a cached
+  // replay, never while fingerprinting, logging or replaying.
+  mutable std::mutex mu_;
+  std::vector<VersionEntry> entries_;
 };
 
 /// Former name of the adapter VersionedKnowledgeBase now makes

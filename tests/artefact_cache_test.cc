@@ -12,7 +12,6 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -330,7 +329,7 @@ TEST(ArtefactCacheConcurrencyTest, ConcurrentContextBuildsShareOneCache) {
   workload::Scenario scenario = ChainScenario(kTransitions, 29);
   const size_t versions = scenario.vkb->version_count();
 
-  // Pre-fetch fingerprints; materializers serialise vkb access.
+  // Pre-fetch fingerprints; materializers read the vkb concurrently.
   std::vector<uint64_t> fingerprints;
   for (size_t v = 0; v < versions; ++v) {
     auto handle = scenario.vkb->Handle(static_cast<version::VersionId>(v));
@@ -340,7 +339,6 @@ TEST(ArtefactCacheConcurrencyTest, ConcurrentContextBuildsShareOneCache) {
 
   ThreadPool brandes_pool(2);
   ArtefactCache cache(16, &brandes_pool);
-  std::mutex vkb_mu;
   measures::ContextOptions options;
 
   // Serial reference reports, one per transition.
@@ -357,12 +355,8 @@ TEST(ArtefactCacheConcurrencyTest, ConcurrentContextBuildsShareOneCache) {
   }
 
   const auto materialize = [&](size_t v) {
-    return [&scenario, &vkb_mu,
-            v]() -> Result<std::shared_ptr<const rdf::KnowledgeBase>> {
-      std::lock_guard<std::mutex> lock(vkb_mu);
-      auto kb = scenario.vkb->Snapshot(static_cast<version::VersionId>(v));
-      if (!kb.ok()) return kb.status();
-      return std::make_shared<const rdf::KnowledgeBase>(**kb);
+    return [&scenario, v]() {
+      return scenario.vkb->SharedSnapshot(static_cast<version::VersionId>(v));
     };
   };
 
@@ -448,14 +442,9 @@ TEST(ArtefactCacheConcurrencyTest, ConcurrentEvaluateAllSharesKernelCells) {
   ThreadPool brandes_pool(2);
   ThreadPool measure_pool(2);
   ArtefactCache cache(16, &brandes_pool);
-  std::mutex vkb_mu;
   const auto materialize = [&](size_t v) {
-    return [&scenario, &vkb_mu,
-            v]() -> Result<std::shared_ptr<const rdf::KnowledgeBase>> {
-      std::lock_guard<std::mutex> lock(vkb_mu);
-      auto kb = scenario.vkb->Snapshot(static_cast<version::VersionId>(v));
-      if (!kb.ok()) return kb.status();
-      return std::make_shared<const rdf::KnowledgeBase>(**kb);
+    return [&scenario, v]() {
+      return scenario.vkb->SharedSnapshot(static_cast<version::VersionId>(v));
     };
   };
 

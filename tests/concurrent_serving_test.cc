@@ -1,9 +1,11 @@
 // The concurrent-serving contract, raced for ThreadSanitizer (the
 // `tsan` preset runs every suite matching ConcurrentServing): readers
-// pin segment-list snapshots of a sharded KB and keep serving at full
-// fan-out while a committer lands new versions — without blocking on
-// the writer, without torn reads, and with results byte-identical to
-// an idle-store run. Principals are read-only, so concurrent requests
+// pin segment-list snapshots — of a sharded KB and of a durable
+// VersionedKnowledgeBase whose commits land through a synced commit
+// log — and keep serving at full fan-out while a committer lands new
+// versions: without blocking on the writer (not even on its fsync),
+// without torn reads, and with results byte-identical to an
+// idle-store run. Principals are read-only, so concurrent requests
 // may share one profile or group. Also covers the provenance path:
 // scratch-store splicing must reproduce the sequential audit trail
 // record for record, and concurrent single requests must keep every
@@ -12,13 +14,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <future>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "engine/recommendation_service.h"
 #include "provenance/store.h"
+#include "storage/commit_log.h"
+#include "storage/fault_env.h"
 #include "version/sharded_kb.h"
 #include "workload/scenarios.h"
 
@@ -27,8 +36,11 @@ namespace {
 
 using rdf::Triple;
 using version::ChangeSet;
+using version::KbView;
 using version::ShardedKnowledgeBase;
 using version::VersionId;
+
+constexpr char kLogPath[] = "wal.evlog";
 
 workload::Scenario SmallScenario(uint64_t seed) {
   workload::ScenarioScale scale;
@@ -83,162 +95,370 @@ std::vector<ChangeSet> CommitterChanges(const workload::Scenario& scenario,
   return changes;
 }
 
-TEST(ConcurrentServingTest, PinnedReadersRaceACommitterWithoutTearing) {
-  workload::Scenario scenario = SmallScenario(77);
-  std::unique_ptr<ShardedKnowledgeBase> sharded = ShardScenario(scenario, 4);
-  const VersionId frozen_head = sharded->head();
+// The KB kinds the race tests run over.
+enum class KbKind { kSharded, kDurable };
+constexpr KbKind kKbKinds[] = {KbKind::kSharded, KbKind::kDurable};
 
-  // Ground truth recorded before the race: per-version sizes and a
-  // content sample.
-  std::vector<size_t> expected_size(frozen_head + 1);
-  std::vector<std::vector<Triple>> expected_sample(frozen_head + 1);
-  for (VersionId v = 0; v <= frozen_head; ++v) {
-    auto snapshot = sharded->SharedSnapshot(v);
-    ASSERT_TRUE(snapshot.ok());
-    expected_size[v] = (*snapshot)->size();
-    expected_sample[v] =
-        (*snapshot)->store().Match({rdf::kAnyTerm, scenario.properties[0],
-                                    rdf::kAnyTerm});
-  }
+const char* KindName(KbKind kind) {
+  return kind == KbKind::kSharded ? "4-shard ShardedKnowledgeBase"
+                                  : "VersionedKnowledgeBase + synced WAL";
+}
 
-  std::vector<ChangeSet> changes = CommitterChanges(scenario, 12);
-  std::atomic<int> failures{0};
-  std::atomic<bool> done{false};
-  {
-    std::thread committer([&] {
-      for (size_t c = 0; c < changes.size(); ++c) {
-        auto id = sharded->Commit(std::move(changes[c]), "committer",
-                                  "concurrent " + std::to_string(c),
-                                  frozen_head + c + 1);
-        if (!id.ok()) failures.fetch_add(1);
-      }
-      done.store(true);
-    });
-
-    constexpr int kReaders = 4;
-    std::vector<std::thread> readers;
-    readers.reserve(kReaders);
-    for (int r = 0; r < kReaders; ++r) {
-      readers.emplace_back([&, r] {
-        int rounds = 0;
-        while (!done.load() || rounds < 20) {
-          const VersionId v = static_cast<VersionId>(
-              (r + rounds) % (frozen_head + 1));
-          auto snapshot = sharded->SharedSnapshot(v);
-          if (!snapshot.ok()) {
-            failures.fetch_add(1);
-            break;
-          }
-          // Every read round sees exactly the pinned version: stable
-          // size, stable scan results, a k-way merged full scan that
-          // agrees with the effective count.
-          if ((*snapshot)->size() != expected_size[v]) failures.fetch_add(1);
-          if ((*snapshot)->store().Match({rdf::kAnyTerm,
-                                          scenario.properties[0],
-                                          rdf::kAnyTerm}) !=
-              expected_sample[v]) {
-            failures.fetch_add(1);
-          }
-          size_t count = 0;
-          (*snapshot)->store().ScanT(
-              {rdf::kAnyTerm, rdf::kAnyTerm, rdf::kAnyTerm},
-              [&](const Triple&) {
-                ++count;
-                return true;
-              });
-          if (count != expected_size[v]) failures.fetch_add(1);
-          ++rounds;
-        }
-      });
+// One raced KB: the scenario's history rebuilt as a 4-shard sharded
+// KB, or the scenario's own VersionedKnowledgeBase made durable by a
+// commit log that syncs every append on a FaultInjectionEnv.
+struct RacedKb {
+  RacedKb(KbKind kind, const workload::Scenario& scenario) {
+    if (kind == KbKind::kSharded) {
+      sharded = ShardScenario(scenario, 4);
+      view = sharded.get();
+      return;
     }
-    for (std::thread& reader : readers) reader.join();
-    committer.join();
+    storage::LogOptions log_options;
+    log_options.sync_on_append = true;
+    log_options.env = &env;
+    auto opened = storage::CommitLog::Open(kLogPath, log_options);
+    EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+    log.emplace(std::move(opened).value());
+    durable = scenario.vkb.get();
+    durable->AttachCommitLog(&*log);
+    view = durable;
   }
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(sharded->head(), frozen_head + 12);
+  ~RacedKb() {
+    if (durable != nullptr) durable->DetachCommitLog();
+  }
+
+  // Durable kind: every commit since the log was attached must be in
+  // it, in order, with the fingerprint its version published.
+  void ExpectLogHolds(VersionId first, VersionId last) {
+    if (durable == nullptr) return;
+    storage::ReplayOptions replay;
+    replay.env = &env;
+    auto records = storage::ReadLog(kLogPath, replay);
+    ASSERT_TRUE(records.ok()) << records.status().ToString();
+    ASSERT_EQ(records->size(), last - first + 1);
+    for (VersionId v = first; v <= last; ++v) {
+      const storage::DeltaRecord& record = (*records)[v - first];
+      EXPECT_EQ(record.version_id, v);
+      EXPECT_EQ(record.fingerprint, view->Handle(v).value().fingerprint);
+    }
+  }
+
+  storage::FaultInjectionEnv env;
+  std::optional<storage::CommitLog> log;
+  std::unique_ptr<ShardedKnowledgeBase> sharded;
+  version::VersionedKnowledgeBase* durable = nullptr;
+  KbView* view = nullptr;
+};
+
+// Readers pin snapshots and read version metadata directly from the
+// KB while a committer lands 12 versions; every read sees exactly the
+// version it named.
+TEST(ConcurrentServingTest, PinnedReadersRaceACommitterWithoutTearing) {
+  for (KbKind kind : kKbKinds) {
+    SCOPED_TRACE(KindName(kind));
+    workload::Scenario scenario = SmallScenario(77);
+    RacedKb raced(kind, scenario);
+    KbView& kb = *raced.view;
+    const VersionId frozen_head = kb.head();
+
+    // Ground truth recorded before the race: per-version sizes, a
+    // content sample, fingerprints and change-set sizes.
+    std::vector<size_t> expected_size(frozen_head + 1);
+    std::vector<std::vector<Triple>> expected_sample(frozen_head + 1);
+    std::vector<uint64_t> expected_fingerprint(frozen_head + 1);
+    std::vector<size_t> expected_changes(frozen_head + 1, 0);
+    for (VersionId v = 0; v <= frozen_head; ++v) {
+      auto snapshot = kb.SharedSnapshot(v);
+      ASSERT_TRUE(snapshot.ok());
+      expected_size[v] = (*snapshot)->size();
+      expected_sample[v] =
+          (*snapshot)->store().Match({rdf::kAnyTerm, scenario.properties[0],
+                                      rdf::kAnyTerm});
+      expected_fingerprint[v] = kb.Handle(v).value().fingerprint;
+      if (v > 0) expected_changes[v] = kb.Changes(v).value().size();
+    }
+
+    std::vector<ChangeSet> changes = CommitterChanges(scenario, 12);
+    std::atomic<int> failures{0};
+    std::atomic<bool> done{false};
+    {
+      std::thread committer([&] {
+        for (size_t c = 0; c < changes.size(); ++c) {
+          auto id = kb.Commit(std::move(changes[c]), "committer",
+                              "concurrent " + std::to_string(c),
+                              frozen_head + c + 1);
+          if (!id.ok()) failures.fetch_add(1);
+        }
+        done.store(true);
+      });
+
+      constexpr int kReaders = 4;
+      std::vector<std::thread> readers;
+      readers.reserve(kReaders);
+      for (int r = 0; r < kReaders; ++r) {
+        readers.emplace_back([&, r] {
+          int rounds = 0;
+          while (!done.load() || rounds < 20) {
+            const VersionId v = static_cast<VersionId>(
+                (r + rounds) % (frozen_head + 1));
+            auto snapshot = kb.SharedSnapshot(v);
+            if (!snapshot.ok()) {
+              failures.fetch_add(1);
+              break;
+            }
+            // Every read round sees exactly the pinned version: stable
+            // size, stable scan results, a k-way merged full scan that
+            // agrees with the effective count.
+            if ((*snapshot)->size() != expected_size[v]) failures.fetch_add(1);
+            if ((*snapshot)->store().Match({rdf::kAnyTerm,
+                                            scenario.properties[0],
+                                            rdf::kAnyTerm}) !=
+                expected_sample[v]) {
+              failures.fetch_add(1);
+            }
+            size_t count = 0;
+            (*snapshot)->store().ScanT(
+                {rdf::kAnyTerm, rdf::kAnyTerm, rdf::kAnyTerm},
+                [&](const Triple&) {
+                  ++count;
+                  return true;
+                });
+            if (count != expected_size[v]) failures.fetch_add(1);
+            // Published metadata stays put while later versions land,
+            // and the head the committer just published is whole.
+            for (VersionId u = 0; u <= frozen_head; ++u) {
+              auto handle = kb.Handle(u);
+              if (!handle.ok() ||
+                  handle->fingerprint != expected_fingerprint[u]) {
+                failures.fetch_add(1);
+              }
+              if (u == 0) continue;
+              auto cs = kb.Changes(u);
+              if (!cs.ok() || cs->size() != expected_changes[u]) {
+                failures.fetch_add(1);
+              }
+            }
+            const VersionId head = kb.head();
+            if (!kb.Handle(head).ok() || !kb.Changes(head).ok()) {
+              failures.fetch_add(1);
+            }
+            ++rounds;
+          }
+        });
+      }
+      for (std::thread& reader : readers) reader.join();
+      committer.join();
+    }
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(kb.head(), frozen_head + 12);
+    raced.ExpectLogHolds(frozen_head + 1, frozen_head + 12);
+  }
 }
 
 TEST(ConcurrentServingTest, BatchesKeepServingWhileCommitsLand) {
-  workload::Scenario scenario = SmallScenario(83);
-  std::unique_ptr<ShardedKnowledgeBase> sharded = ShardScenario(scenario, 4);
-  const VersionId frozen_head = sharded->head();
+  for (KbKind kind : kKbKinds) {
+    SCOPED_TRACE(KindName(kind));
+    workload::Scenario scenario = SmallScenario(83);
+    RacedKb raced(kind, scenario);
+    KbView& kb = *raced.view;
+    const VersionId frozen_head = kb.head();
+
+    measures::MeasureRegistry registry = measures::DefaultRegistry();
+    ServiceOptions options;
+    options.engine.threads = 2;
+    RecommendationService service(registry, options);
+
+    // Expected batch output, computed on the idle store. Every reader
+    // serves the same profiles.
+    std::vector<const profile::HumanProfile*> pointers;
+    for (const profile::HumanProfile& prof : scenario.curators.members()) {
+      pointers.push_back(&prof);
+    }
+    auto run_batch = [&](std::vector<recommend::RecommendationList>* out) {
+      auto batch = service.RecommendBatch(kb, 0, 1, pointers);
+      if (!batch.ok()) return false;
+      *out = std::move(batch).value();
+      return true;
+    };
+    std::vector<recommend::RecommendationList> expected;
+    ASSERT_TRUE(run_batch(&expected));
+
+    std::vector<ChangeSet> changes = CommitterChanges(scenario, 6);
+    std::atomic<int> failures{0};
+    std::atomic<bool> done{false};
+    {
+      std::thread committer([&] {
+        for (size_t c = 0; c < changes.size(); ++c) {
+          // Through the service, so each commit also refreshes the
+          // engine onto the new head while readers keep serving (0,1).
+          auto id = service.Commit(kb, std::move(changes[c]), "committer",
+                                   "landing " + std::to_string(c),
+                                   frozen_head + c + 1);
+          if (!id.ok()) failures.fetch_add(1);
+        }
+        done.store(true);
+      });
+
+      constexpr int kReaders = 3;
+      std::vector<std::thread> readers;
+      readers.reserve(kReaders);
+      for (int r = 0; r < kReaders; ++r) {
+        readers.emplace_back([&] {
+          int rounds = 0;
+          while (!done.load() || rounds < 3) {
+            std::vector<recommend::RecommendationList> got;
+            if (!run_batch(&got) || got.size() != expected.size()) {
+              failures.fetch_add(1);
+              break;
+            }
+            // Serving during commits returns the exact idle-store
+            // results: same packages, same scores, same explanations.
+            for (size_t i = 0; i < got.size(); ++i) {
+              if (got[i].items.size() != expected[i].items.size()) {
+                failures.fetch_add(1);
+                continue;
+              }
+              for (size_t j = 0; j < got[i].items.size(); ++j) {
+                if (got[i].items[j].candidate.id !=
+                        expected[i].items[j].candidate.id ||
+                    got[i].items[j].relatedness !=
+                        expected[i].items[j].relatedness ||
+                    got[i].items[j].explanation.ToText() !=
+                        expected[i].items[j].explanation.ToText()) {
+                  failures.fetch_add(1);
+                }
+              }
+            }
+            ++rounds;
+          }
+        });
+      }
+      for (std::thread& reader : readers) reader.join();
+      committer.join();
+    }
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(kb.head(), frozen_head + 6);
+    EXPECT_EQ(service.health_state(), HealthState::kHealthy);
+    raced.ExpectLogHolds(frozen_head + 1, frozen_head + 6);
+  }
+}
+
+// Parks the next commit-log fsync once armed, until released: a disk
+// slow enough to hold a durable commit inside its WAL append.
+class ParkingEnv : public storage::FaultInjectionEnv {
+ public:
+  void Arm() {
+    std::lock_guard<std::mutex> lock(park_mu_);
+    armed_ = true;
+  }
+
+  // Whether a Sync parked within five seconds.
+  bool WaitUntilParked() {
+    std::unique_lock<std::mutex> lock(park_mu_);
+    return park_cv_.wait_for(lock, std::chrono::seconds(5),
+                             [this] { return parked_; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(park_mu_);
+    released_ = true;
+    park_cv_.notify_all();
+  }
+
+  Result<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path, bool append) override {
+    auto file = FaultInjectionEnv::NewWritableFile(path, append);
+    if (!file.ok()) return file.status();
+    return std::unique_ptr<WritableFile>(
+        std::make_unique<ParkingFile>(this, std::move(file).value()));
+  }
+
+ private:
+  class ParkingFile : public WritableFile {
+   public:
+    ParkingFile(ParkingEnv* env, std::unique_ptr<WritableFile> file)
+        : env_(env), file_(std::move(file)) {}
+    Status Append(std::string_view data) override {
+      return file_->Append(data);
+    }
+    Status Sync() override {
+      env_->MaybePark();
+      return file_->Sync();
+    }
+    Status Close() override { return file_->Close(); }
+
+   private:
+    ParkingEnv* env_;
+    std::unique_ptr<WritableFile> file_;
+  };
+
+  void MaybePark() {
+    std::unique_lock<std::mutex> lock(park_mu_);
+    if (!armed_) return;
+    armed_ = false;
+    parked_ = true;
+    park_cv_.notify_all();
+    park_cv_.wait(lock, [this] { return released_; });
+  }
+
+  std::mutex park_mu_;
+  std::condition_variable park_cv_;
+  bool armed_ = false;
+  bool parked_ = false;
+  bool released_ = false;
+};
+
+// A read of a warm pair never waits for a durable commit: with the
+// commit parked inside its WAL fsync, Recommend returns the warm list,
+// and the commit lands once the disk is released.
+TEST(ConcurrentServingTest, ReadsDoNotWaitForADurableCommit) {
+  workload::Scenario scenario = SmallScenario(71);
+  ParkingEnv env;
+  storage::LogOptions log_options;
+  log_options.sync_on_append = true;
+  log_options.env = &env;
+  auto log = storage::CommitLog::Open(kLogPath, log_options);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  version::VersionedKnowledgeBase& vkb = *scenario.vkb;
+  vkb.AttachCommitLog(&*log);
 
   measures::MeasureRegistry registry = measures::DefaultRegistry();
   ServiceOptions options;
   options.engine.threads = 2;
   RecommendationService service(registry, options);
+  const profile::HumanProfile& prof = scenario.end_user;
+  auto warm = service.Recommend(vkb, 0, 1, prof);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
 
-  // Expected batch output, computed on the idle store. Every reader
-  // serves the same profiles.
-  std::vector<const profile::HumanProfile*> pointers;
-  for (const profile::HumanProfile& prof : scenario.curators.members()) {
-    pointers.push_back(&prof);
+  const VersionId head = vkb.head();
+  env.Arm();
+  auto commit = std::async(std::launch::async, [&] {
+    return service.Commit(vkb, CommitterChanges(scenario, 1).front(),
+                          "curator", "parked in fsync", head + 1);
+  });
+  const bool parked = env.WaitUntilParked();
+  auto read = std::async(std::launch::async,
+                         [&] { return service.Recommend(vkb, 0, 1, prof); });
+  const bool returned =
+      read.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  env.Release();
+  EXPECT_TRUE(parked) << "the commit never reached its fsync";
+  EXPECT_TRUE(returned) << "the read waited for the parked commit";
+
+  auto got = read.get();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->items.size(), warm->items.size());
+  for (size_t i = 0; i < got->items.size(); ++i) {
+    EXPECT_EQ(got->items[i].candidate.id, warm->items[i].candidate.id);
+    EXPECT_EQ(got->items[i].relatedness, warm->items[i].relatedness);
+    EXPECT_EQ(got->items[i].explanation.ToText(),
+              warm->items[i].explanation.ToText());
   }
-  auto run_batch = [&](std::vector<recommend::RecommendationList>* out) {
-    auto batch = service.RecommendBatch(*sharded, 0, 1, pointers);
-    if (!batch.ok()) return false;
-    *out = std::move(batch).value();
-    return true;
-  };
-  std::vector<recommend::RecommendationList> expected;
-  ASSERT_TRUE(run_batch(&expected));
-
-  std::vector<ChangeSet> changes = CommitterChanges(scenario, 6);
-  std::atomic<int> failures{0};
-  std::atomic<bool> done{false};
-  {
-    std::thread committer([&] {
-      for (size_t c = 0; c < changes.size(); ++c) {
-        // Through the service, so each commit also refreshes the
-        // engine onto the new head while readers keep serving (0,1).
-        auto id = service.Commit(*sharded, std::move(changes[c]), "committer",
-                                 "landing " + std::to_string(c),
-                                 frozen_head + c + 1);
-        if (!id.ok()) failures.fetch_add(1);
-      }
-      done.store(true);
-    });
-
-    constexpr int kReaders = 3;
-    std::vector<std::thread> readers;
-    readers.reserve(kReaders);
-    for (int r = 0; r < kReaders; ++r) {
-      readers.emplace_back([&] {
-        int rounds = 0;
-        while (!done.load() || rounds < 3) {
-          std::vector<recommend::RecommendationList> got;
-          if (!run_batch(&got) || got.size() != expected.size()) {
-            failures.fetch_add(1);
-            break;
-          }
-          // Serving during commits returns the exact idle-store
-          // results: same packages, same scores, same explanations.
-          for (size_t i = 0; i < got.size(); ++i) {
-            if (got[i].items.size() != expected[i].items.size()) {
-              failures.fetch_add(1);
-              continue;
-            }
-            for (size_t j = 0; j < got[i].items.size(); ++j) {
-              if (got[i].items[j].candidate.id !=
-                      expected[i].items[j].candidate.id ||
-                  got[i].items[j].relatedness !=
-                      expected[i].items[j].relatedness ||
-                  got[i].items[j].explanation.ToText() !=
-                      expected[i].items[j].explanation.ToText()) {
-                failures.fetch_add(1);
-              }
-            }
-          }
-          ++rounds;
-        }
-      });
-    }
-    for (std::thread& reader : readers) reader.join();
-    committer.join();
-  }
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(sharded->head(), frozen_head + 6);
-  EXPECT_EQ(service.health_state(), HealthState::kHealthy);
+  auto committed = commit.get();
+  ASSERT_TRUE(committed.ok()) << committed.status().ToString();
+  EXPECT_EQ(*committed, head + 1);
+  vkb.DetachCommitLog();
 }
 
 // Principals are read-only: concurrent requests, and every slot of one

@@ -1,22 +1,17 @@
 // Segmented-store contracts the concurrent-serving path depends on:
 // frozen segments are immutable and shared, snapshot copies are
-// segment-list splices (never triple copies), serving reads never
-// materialise a flat store, and the segment-preserving storage
-// container (storage/segment_io.h) round-trips the exact segment
-// structure while rejecting corrupt images.
+// segment-list splices (never triple copies), and serving reads never
+// materialise a flat store.
 
 #include "rdf/segment.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <set>
-#include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "rdf/triple_store.h"
-#include "storage/segment_io.h"
 
 namespace evorec::rdf {
 namespace {
@@ -123,98 +118,6 @@ TEST(SegmentStoreTest, ServingReadsNeverMaterializeAFlatCopy) {
   // point — and it says so in the counter.
   (void)store.triples();
   EXPECT_EQ(store.stats().materializations, 1u);
-}
-
-TEST(SegmentIoTest, RoundTripPreservesSegmentStructure) {
-  TripleStore store = LayeredStore();
-  const std::string image = storage::EncodeSegments(store);
-  ASSERT_TRUE(storage::LooksLikeSegments(image));
-
-  // Ids in LayeredStore stay below 1003; decode against a table
-  // comfortably covering them.
-  auto decoded = storage::DecodeSegments(image, /*term_count=*/2000);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-
-  // Not just the same triples — the same *stack*: segment count and
-  // per-segment live/tombstone runs all survive.
-  ASSERT_EQ(decoded->segments().size(), store.segments().size());
-  for (size_t i = 0; i < store.segments().size(); ++i) {
-    EXPECT_EQ(decoded->segments()[i]->live(), store.segments()[i]->live());
-    EXPECT_EQ(decoded->segments()[i]->tombstones(),
-              store.segments()[i]->tombstones());
-  }
-  EXPECT_EQ(decoded->size(), store.size());
-  EXPECT_EQ(decoded->triples(), store.triples());
-}
-
-TEST(SegmentIoTest, RoundTripsRandomHistories) {
-  for (uint64_t seed : {3u, 71u, 20260807u}) {
-    Rng rng(seed);
-    TripleStore store;
-    std::set<Triple> model;
-    for (int step = 0; step < 1500; ++step) {
-      const Triple t{static_cast<TermId>(rng.UniformInt(0, 60)),
-                     static_cast<TermId>(rng.UniformInt(0, 6)),
-                     static_cast<TermId>(rng.UniformInt(0, 60))};
-      if (rng.Bernoulli(0.7)) {
-        store.Add(t);
-        model.insert(t);
-      } else {
-        store.Remove(t);
-        model.erase(t);
-      }
-      if (step % 211 == 0) store.Compact();
-    }
-    auto decoded =
-        storage::DecodeSegments(storage::EncodeSegments(store), 64);
-    ASSERT_TRUE(decoded.ok()) << "seed " << seed;
-    EXPECT_EQ(decoded->size(), model.size()) << "seed " << seed;
-    EXPECT_EQ(decoded->triples(),
-              std::vector<Triple>(model.begin(), model.end()))
-        << "seed " << seed;
-  }
-}
-
-TEST(SegmentIoTest, RejectsCorruptImages) {
-  TripleStore store = LayeredStore();
-  const std::string image = storage::EncodeSegments(store);
-
-  // Wrong magic is "not this container", not a crash.
-  std::string wrong_magic = image;
-  wrong_magic[7] = '9';
-  EXPECT_FALSE(storage::LooksLikeSegments(wrong_magic));
-  EXPECT_FALSE(storage::DecodeSegments(wrong_magic, 2000).ok());
-
-  // Every truncation point must be detected.
-  for (size_t len : {4u, 20u, 35u, 60u}) {
-    EXPECT_FALSE(storage::DecodeSegments(image.substr(0, len), 2000).ok())
-        << "truncated to " << len;
-  }
-  EXPECT_FALSE(
-      storage::DecodeSegments(image.substr(0, image.size() - 3), 2000).ok());
-
-  // Trailing garbage after the last segment.
-  EXPECT_FALSE(storage::DecodeSegments(image + "xx", 2000).ok());
-
-  // A flipped payload byte trips a CRC (or, where the flip lands in a
-  // length field, a framing error) — never an accepted wrong store.
-  for (size_t pos : std::vector<size_t>{12, 40, image.size() / 2,
-                                        image.size() - 10}) {
-    std::string corrupt = image;
-    corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x5A);
-    EXPECT_FALSE(storage::DecodeSegments(corrupt, 2000).ok())
-        << "flip at " << pos;
-  }
-
-  // Ids beyond the caller's term table are rejected, not adopted.
-  EXPECT_FALSE(storage::DecodeSegments(image, /*term_count=*/10).ok());
-}
-
-TEST(SegmentIoTest, AcceptsEmptyStore) {
-  TripleStore empty;
-  auto decoded = storage::DecodeSegments(storage::EncodeSegments(empty), 0);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->size(), 0u);
 }
 
 }  // namespace
