@@ -64,10 +64,8 @@ version::VersionedKnowledgeBase MakeVersionChain(version::ArchivePolicy policy,
 void PrintArchivePolicyTable() {
   PrintHeader("E1b — archive policy ablation (cf. [13])",
               "delta chains trade snapshot latency for storage");
-  // "sec_idx_builds" counts POS/OSP builds performed by the head/mid
-  // reconstructions — the SPO-only replay path must keep it at 0.
   TablePrinter table({"policy", "versions", "storage", "snapshot_head_ms",
-                      "snapshot_mid_ms", "sec_idx_builds"});
+                      "snapshot_mid_ms"});
   for (auto policy : {version::ArchivePolicy::kFullMaterialization,
                       version::ArchivePolicy::kDeltaChain,
                       version::ArchivePolicy::kHybridCheckpoint}) {
@@ -78,9 +76,6 @@ void PrintArchivePolicyTable() {
     Stopwatch mid_timer;
     auto mid = vkb.MaterializeUncached(vkb.head() / 2);
     const double mid_ms = mid_timer.ElapsedMillis();
-    const uint64_t sec_idx_builds =
-        head->store().stats().secondary_builds() +
-        mid->store().stats().secondary_builds();
     const char* policy_name =
         policy == version::ArchivePolicy::kFullMaterialization
             ? "full_materialization"
@@ -90,7 +85,7 @@ void PrintArchivePolicyTable() {
     table.AddRow(
         {policy_name, TablePrinter::Cell(vkb.version_count()),
          HumanBytes(vkb.StorageBytes()), TablePrinter::Cell(head_ms, 2),
-         TablePrinter::Cell(mid_ms, 2), TablePrinter::Cell(sec_idx_builds)});
+         TablePrinter::Cell(mid_ms, 2)});
   }
   table.Print(std::cout);
 }
@@ -162,37 +157,6 @@ void BM_RepeatedSmallDeltaCompact(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RepeatedSmallDeltaCompact)->Arg(20000)->Arg(100000);
-
-// Same write pattern, but every compact is followed by one POS and
-// one OSP lookup — the cost of keeping all three permutation indexes
-// usable between small deltas.
-void BM_RepeatedSmallDeltaCompactAllIndexes(benchmark::State& state) {
-  const uint32_t base = static_cast<uint32_t>(state.range(0));
-  rdf::TripleStore store;
-  std::vector<rdf::Triple> triples;
-  triples.reserve(base);
-  for (uint32_t i = 0; i < base; ++i) {
-    triples.push_back({i / 8, 1000000u + i % 17, i});
-  }
-  store.AddAll(triples);
-  store.Compact();
-  const uint32_t d = 64;
-  uint64_t epoch = 0;
-  for (auto _ : state) {
-    const uint32_t add_tag = static_cast<uint32_t>(epoch % 2);
-    for (uint32_t j = 0; j < d; ++j) {
-      store.Add({2000000u + j, 7, add_tag});
-      store.Remove({2000000u + j, 7, 1 - add_tag});
-    }
-    store.Compact();
-    benchmark::DoNotOptimize(
-        store.Match({rdf::kAnyTerm, 7, add_tag}).size());      // POS
-    benchmark::DoNotOptimize(
-        store.Match({rdf::kAnyTerm, rdf::kAnyTerm, 3}).size());  // OSP
-    ++epoch;
-  }
-}
-BENCHMARK(BM_RepeatedSmallDeltaCompactAllIndexes)->Arg(20000)->Arg(100000);
 
 void BM_CommitThroughput(benchmark::State& state) {
   const auto policy = static_cast<version::ArchivePolicy>(state.range(0));

@@ -54,7 +54,7 @@ Status LoadInput(const std::string& label, const std::string& bytes,
     std::printf("%s: binary snapshot of version %u (%llu triples)\n",
                 label.c_str(), decoded->info.version_id,
                 static_cast<unsigned long long>(decoded->info.triple_count));
-    for (const rdf::Triple& t : decoded->store.triples()) {
+    for (const rdf::Triple& t : decoded->store.Match({})) {
       kb.store().Add(
           rdf::Triple(kb.dictionary().Intern(decoded->dictionary->term(t.subject)),
                       kb.dictionary().Intern(decoded->dictionary->term(t.predicate)),

@@ -62,7 +62,7 @@ Result<version::ChangeSet> ParseChangeSet(std::string_view text,
           "change-set line " + std::to_string(line_number) +
           ": expected exactly one statement");
     }
-    const rdf::Triple t = scratch.triples()[0];
+    const rdf::Triple t = scratch.Match({})[0];
     if (op == 'A') {
       changes.additions.push_back(t);
     } else {

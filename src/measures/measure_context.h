@@ -213,9 +213,9 @@ class EvolutionContext {
                                         ThreadPool* pool = nullptr);
 
   /// Adopts already-owned snapshots without copying them — the engine
-  /// path, which snapshots under its own lock and hands the copies
-  /// over. Both pointers must be non-null and share a dictionary; the
-  /// snapshots must not be mutated afterwards.
+  /// path, which hands over the versions' published snapshots. Both
+  /// pointers must be non-null and share a dictionary; the snapshots
+  /// must not be mutated afterwards.
   static Result<EvolutionContext> Build(
       std::shared_ptr<const rdf::KnowledgeBase> before,
       std::shared_ptr<const rdf::KnowledgeBase> after,

@@ -153,7 +153,7 @@ Status ParseNTriples(std::string_view text, Dictionary& dictionary,
 std::string WriteNTriples(const TripleStore& store,
                           const Dictionary& dictionary) {
   std::string out;
-  for (const Triple& t : store.triples()) {
+  for (const Triple& t : store.Match({})) {
     out += dictionary.term(t.subject).ToNTriples();
     out += " ";
     out += dictionary.term(t.predicate).ToNTriples();

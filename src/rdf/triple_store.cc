@@ -5,76 +5,6 @@
 
 namespace evorec::rdf {
 
-namespace {
-
-// Rewrites `base` (sorted-unique under `less`) to (base ∪ adds) −
-// removes in one linear pass. `adds` and `removes` must each be
-// sorted-unique under `less` and disjoint from each other; elements of
-// `adds` already in `base` and elements of `removes` absent from
-// `base` are tolerated, which is what makes re-applying a last-wins
-// backlog idempotent.
-template <class Less>
-void MergeApply(std::vector<Triple>& base, const std::vector<Triple>& adds,
-                const std::vector<Triple>& removes, Less less) {
-  if (adds.empty() && removes.empty()) return;
-  std::vector<Triple> out;
-  out.reserve(base.size() + adds.size());
-  auto r = removes.begin();
-  const auto re = removes.end();
-  // Consumes `removes` monotonically: emitted candidates arrive in
-  // `less` order.
-  auto removed = [&](const Triple& t) {
-    while (r != re && less(*r, t)) ++r;
-    return r != re && !less(t, *r);
-  };
-  auto b = base.begin();
-  const auto be = base.end();
-  auto a = adds.begin();
-  const auto ae = adds.end();
-  while (b != be && a != ae) {
-    if (less(*b, *a)) {
-      if (!removed(*b)) out.push_back(*b);
-      ++b;
-    } else if (less(*a, *b)) {
-      if (!removed(*a)) out.push_back(*a);
-      ++a;
-    } else {  // duplicate add: emit once
-      if (!removed(*b)) out.push_back(*b);
-      ++b;
-      ++a;
-    }
-  }
-  for (; b != be; ++b) {
-    if (!removed(*b)) out.push_back(*b);
-  }
-  for (; a != ae; ++a) {
-    if (!removed(*a)) out.push_back(*a);
-  }
-  base.swap(out);
-}
-
-// out = (lhs − minus) ∪ plus, all sorted-unique in SPO order.
-std::vector<Triple> RebaseSet(const std::vector<Triple>& lhs,
-                              const std::vector<Triple>& minus,
-                              const std::vector<Triple>& plus) {
-  std::vector<Triple> kept;
-  kept.reserve(lhs.size());
-  std::set_difference(lhs.begin(), lhs.end(), minus.begin(), minus.end(),
-                      std::back_inserter(kept));
-  std::vector<Triple> out;
-  out.reserve(kept.size() + plus.size());
-  std::set_union(kept.begin(), kept.end(), plus.begin(), plus.end(),
-                 std::back_inserter(out));
-  return out;
-}
-
-void FreeVector(std::vector<Triple>& v) {
-  v.clear();
-  v.shrink_to_fit();
-}
-
-}  // namespace
-
 TripleStore TripleStore::FromSorted(std::vector<Triple> sorted_spo) {
   TripleStore store;
   store.size_ = sorted_spo.size();
@@ -82,10 +12,6 @@ TripleStore TripleStore::FromSorted(std::vector<Triple> sorted_spo) {
     store.segments_.push_back(std::make_shared<const Segment>(
         std::move(sorted_spo), std::vector<Triple>{}));
   }
-  // The empty secondary indexes no longer mirror the stack; they
-  // rebuild from it on first use.
-  store.pos_state_ = IndexState::kRebuild;
-  store.osp_state_ = IndexState::kRebuild;
   return store;
 }
 
@@ -95,30 +21,15 @@ TripleStore TripleStore::FromSegments(
   TripleStore store;
   store.segments_ = std::move(segments);
   store.size_ = effective_size;
-  store.pos_state_ = IndexState::kRebuild;
-  store.osp_state_ = IndexState::kRebuild;
   return store;
 }
 
 TripleStore::TripleStore(const TripleStore& other)
     : segments_(other.segments_),
       size_(other.size_),
-      flat_(other.flat_),
       pending_adds_(other.pending_adds_),
       pending_removes_(other.pending_removes_),
-      dirty_(other.dirty_) {
-  if (other.pos_state_ == IndexState::kFresh) {
-    pos_ = other.pos_;  // shared immutable run — pointer copy
-  } else {
-    pos_state_ = IndexState::kRebuild;
-  }
-  if (other.osp_state_ == IndexState::kFresh) {
-    osp_ = other.osp_;
-  } else {
-    osp_state_ = IndexState::kRebuild;
-  }
-  // The backlog only serves stale indexes, and those were dropped.
-}
+      dirty_(other.dirty_) {}
 
 TripleStore& TripleStore::operator=(const TripleStore& other) {
   if (this != &other) {
@@ -208,13 +119,8 @@ void TripleStore::Compact() const {
     segments_.push_back(std::make_shared<const Segment>(
         std::move(live), std::move(tombstones)));
     ++stats_.segments_frozen;
-    flat_.reset();
     MaybeMergeSegments();
   }
-
-  if (pos_state_ == IndexState::kFresh) pos_state_ = IndexState::kStale;
-  if (osp_state_ == IndexState::kFresh) osp_state_ = IndexState::kStale;
-  AccumulateBacklog(adds, removes);
   ++stats_.compactions;
 }
 
@@ -241,105 +147,6 @@ void TripleStore::MaybeMergeSegments() const {
   }
 }
 
-void TripleStore::AccumulateBacklog(const std::vector<Triple>& adds,
-                                    const std::vector<Triple>& removes) const {
-  if (pos_state_ != IndexState::kStale && osp_state_ != IndexState::kStale) {
-    return;  // nothing can use the backlog
-  }
-  // Last-wins composition keeps adds/removes disjoint: a newer remove
-  // cancels an older backlog add and vice versa.
-  backlog_adds_ = RebaseSet(backlog_adds_, removes, adds);
-  backlog_removes_ = RebaseSet(backlog_removes_, adds, removes);
-
-  // Once the backlog rivals the store itself, catching up costs as
-  // much as rebuilding — stop carrying it.
-  const size_t backlog = backlog_adds_.size() + backlog_removes_.size();
-  if (backlog > size_ / 2 + 64) {
-    if (pos_state_ == IndexState::kStale) {
-      pos_state_ = IndexState::kRebuild;
-      pos_.reset();
-    }
-    if (osp_state_ == IndexState::kStale) {
-      osp_state_ = IndexState::kRebuild;
-      osp_.reset();
-    }
-    MaybeReleaseBacklog();
-  }
-}
-
-void TripleStore::MaybeReleaseBacklog() const {
-  if (pos_state_ != IndexState::kStale && osp_state_ != IndexState::kStale) {
-    FreeVector(backlog_adds_);
-    FreeVector(backlog_removes_);
-  }
-}
-
-void TripleStore::EnsurePos() const {
-  Compact();
-  if (pos_state_ == IndexState::kFresh) {
-    // kFresh with no run yet only happens on a store that has never
-    // frozen anything — i.e. an empty store.
-    if (!pos_) pos_ = std::make_shared<const std::vector<Triple>>();
-    return;
-  }
-  std::vector<Triple> next;
-  if (pos_state_ == IndexState::kStale) {
-    if (pos_) next = *pos_;
-    std::vector<Triple> adds = backlog_adds_;
-    std::vector<Triple> removes = backlog_removes_;
-    std::sort(adds.begin(), adds.end(), PosLess);
-    std::sort(removes.begin(), removes.end(), PosLess);
-    MergeApply(next, adds, removes, PosLess);
-    ++stats_.pos_catchups;
-  } else {
-    next.reserve(size_);
-    detail::WalkSegments(segments_, Triple{0, 0, 0}, [&](const Triple& t) {
-      next.push_back(t);
-      return true;
-    });
-    std::sort(next.begin(), next.end(), PosLess);
-    ++stats_.pos_full_builds;
-  }
-  pos_ = std::make_shared<const std::vector<Triple>>(std::move(next));
-  pos_state_ = IndexState::kFresh;
-  MaybeReleaseBacklog();
-}
-
-void TripleStore::EnsureOsp() const {
-  Compact();
-  if (osp_state_ == IndexState::kFresh) {
-    if (!osp_) osp_ = std::make_shared<const std::vector<Triple>>();
-    return;
-  }
-  std::vector<Triple> next;
-  if (osp_state_ == IndexState::kStale) {
-    if (osp_) next = *osp_;
-    std::vector<Triple> adds = backlog_adds_;
-    std::vector<Triple> removes = backlog_removes_;
-    std::sort(adds.begin(), adds.end(), OspLess);
-    std::sort(removes.begin(), removes.end(), OspLess);
-    MergeApply(next, adds, removes, OspLess);
-    ++stats_.osp_catchups;
-  } else {
-    next.reserve(size_);
-    detail::WalkSegments(segments_, Triple{0, 0, 0}, [&](const Triple& t) {
-      next.push_back(t);
-      return true;
-    });
-    std::sort(next.begin(), next.end(), OspLess);
-    ++stats_.osp_full_builds;
-  }
-  osp_ = std::make_shared<const std::vector<Triple>>(std::move(next));
-  osp_state_ = IndexState::kFresh;
-  MaybeReleaseBacklog();
-}
-
-void TripleStore::PrepareIndexes() const {
-  Compact();
-  EnsurePos();
-  EnsureOsp();
-}
-
 const std::vector<std::shared_ptr<const Segment>>& TripleStore::segments()
     const {
   Compact();
@@ -349,16 +156,6 @@ const std::vector<std::shared_ptr<const Segment>>& TripleStore::segments()
 size_t TripleStore::MemoryBytes() const {
   size_t bytes = 0;
   for (const auto& seg : segments_) bytes += seg->MemoryBytes();
-  if (pos_) bytes += pos_->capacity() * sizeof(Triple);
-  if (osp_) bytes += osp_->capacity() * sizeof(Triple);
-  // A flat memo that merely aliases the base segment holds no storage
-  // of its own.
-  if (flat_ &&
-      (segments_.empty() || flat_.get() != &segments_.front()->live())) {
-    bytes += flat_->capacity() * sizeof(Triple);
-  }
-  bytes += (backlog_adds_.capacity() + backlog_removes_.capacity()) *
-           sizeof(Triple);
   bytes += (pending_adds_.size() + pending_removes_.size()) * sizeof(Triple);
   return bytes;
 }
@@ -369,19 +166,6 @@ size_t TripleStore::MemoryBytesDedup(
   for (const auto& seg : segments_) {
     if (seen.insert(seg.get()).second) bytes += seg->MemoryBytes();
   }
-  if (pos_ && seen.insert(pos_.get()).second) {
-    bytes += pos_->capacity() * sizeof(Triple);
-  }
-  if (osp_ && seen.insert(osp_.get()).second) {
-    bytes += osp_->capacity() * sizeof(Triple);
-  }
-  if (flat_ &&
-      (segments_.empty() || flat_.get() != &segments_.front()->live()) &&
-      seen.insert(flat_.get()).second) {
-    bytes += flat_->capacity() * sizeof(Triple);
-  }
-  bytes += (backlog_adds_.capacity() + backlog_removes_.capacity()) *
-           sizeof(Triple);
   bytes += (pending_adds_.size() + pending_removes_.size()) * sizeof(Triple);
   return bytes;
 }
@@ -396,31 +180,6 @@ size_t TripleStore::size() const {
   return size_;
 }
 
-const std::vector<Triple>& TripleStore::triples() const {
-  Compact();
-  if (flat_) return *flat_;
-  if (segments_.empty()) {
-    flat_ = std::make_shared<const std::vector<Triple>>();
-    return *flat_;
-  }
-  if (segments_.size() == 1) {
-    // Zero-copy alias: the lone base segment *is* the flat SPO run
-    // (its tombstones, if any, shadow nothing).
-    flat_ = std::shared_ptr<const std::vector<Triple>>(segments_.front(),
-                                                       &segments_.front()->live());
-    return *flat_;
-  }
-  auto flat = std::make_shared<std::vector<Triple>>();
-  flat->reserve(size_);
-  detail::WalkSegments(segments_, Triple{0, 0, 0}, [&](const Triple& t) {
-    flat->push_back(t);
-    return true;
-  });
-  ++stats_.materializations;
-  flat_ = std::move(flat);
-  return *flat_;
-}
-
 void TripleStore::Scan(const TriplePattern& pattern,
                        const std::function<bool(const Triple&)>& fn) const {
   ScanT(pattern, fn);
@@ -428,21 +187,10 @@ void TripleStore::Scan(const TriplePattern& pattern,
 
 std::vector<Triple> TripleStore::Match(const TriplePattern& pattern) const {
   std::vector<Triple> out;
-  // Every scan branch already emits in SPO order except (*,p,*), whose
-  // POS range can interleave subjects across objects. Track order
-  // violations during collection so the O(n log n) repair sort only
-  // runs when the range really is out of order (single-object
-  // predicates — rdfs:subClassOf-style ranges — come out sorted).
-  const bool pos_range_scan = pattern.subject == kAnyTerm &&
-                              pattern.predicate != kAnyTerm &&
-                              pattern.object == kAnyTerm;
-  bool sorted = true;
   ScanT(pattern, [&](const Triple& t) {
-    if (pos_range_scan && !out.empty() && t < out.back()) sorted = false;
     out.push_back(t);
     return true;
   });
-  if (!sorted) std::sort(out.begin(), out.end());
   return out;
 }
 

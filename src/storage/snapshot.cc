@@ -64,7 +64,7 @@ Status ReadSection(ByteReader& reader, uint32_t expected_id,
 std::string EncodeSnapshot(const rdf::TripleStore& store,
                            const rdf::Dictionary& dictionary,
                            uint32_t version_id, uint64_t fingerprint) {
-  const std::vector<rdf::Triple>& spo = store.triples();  // compacts
+  const std::vector<rdf::Triple> spo = store.Match({});
 
   std::string terms;
   for (rdf::TermId id = 0; id < dictionary.size(); ++id) {

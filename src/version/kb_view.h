@@ -56,10 +56,9 @@ class KbView {
   /// Cheap content-fingerprint handle to version `v` for cache keys.
   virtual Result<SnapshotHandle> Handle(VersionId v) const = 0;
 
-  /// An immutable shared snapshot of version `v`, pinned for the
-  /// caller: the returned KB stays valid and readable while later
-  /// commits land. On a segmented store this is a segment-list share,
-  /// never a triple copy.
+  /// The published snapshot of version `v`, pinned for the caller: the
+  /// returned KB is frozen and immutable, every reader shares it, and
+  /// it stays valid and readable while later commits land.
   virtual Result<std::shared_ptr<const rdf::KnowledgeBase>> SharedSnapshot(
       VersionId v) const = 0;
 

@@ -86,20 +86,11 @@ Result<SnapshotHandle> ShardedKnowledgeBase::Handle(VersionId v) const {
 
 Result<std::shared_ptr<const rdf::KnowledgeBase>>
 ShardedKnowledgeBase::SharedSnapshot(VersionId v) const {
-  std::shared_ptr<const rdf::KnowledgeBase> pinned;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (v >= entries_.size()) {
-      return NotFoundError("unknown version " + std::to_string(v));
-    }
-    pinned = entries_[v].snapshot;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (v >= entries_.size()) {
+    return NotFoundError("unknown version " + std::to_string(v));
   }
-  // Hand each caller its own segment-sharing copy rather than the
-  // pinned store itself: a TripleStore is thread-compatible, not
-  // thread-safe — concurrent first-use POS/OSP builds on one shared
-  // store would race. The copy is O(#segments) pointer sharing, zero
-  // triple copies, and gives the caller private lazy indexes.
-  return std::make_shared<const rdf::KnowledgeBase>(*pinned);
+  return entries_[v].snapshot;
 }
 
 Result<ChangeSet> ShardedKnowledgeBase::Changes(VersionId v) const {

@@ -83,9 +83,10 @@ VersionedKnowledgeBase::VersionedKnowledgeBase(
   base.fingerprint =
       base_fingerprint.has_value()
           ? *base_fingerprint
-          : HashTriples(0xCBF29CE484222325ULL, initial.store().triples());
-  // Frozen before it is shared: concurrent readers copy it, and const
-  // reads of a store with buffered mutations would compact it in place.
+          : HashTriples(0xCBF29CE484222325ULL, initial.store().Match({}));
+  // Frozen before it is shared: concurrent readers all read this one
+  // store, and const reads of a store with buffered mutations would
+  // compact it in place.
   initial.store().Compact();
   base.snapshot =
       std::make_shared<const rdf::KnowledgeBase>(std::move(initial));
@@ -289,10 +290,9 @@ Result<rdf::KnowledgeBase> VersionedKnowledgeBase::MaterializeUncached(
       chain.push_back(entries_[i].changes);
     }
   }
-  // Batched replay: the copy drops the base's stale secondary
-  // indexes; the whole chain's additions and removals accumulate in
-  // the store's last-wins pending buffer and are applied by a single
-  // incremental merge at the end instead of one re-index per version.
+  // Batched replay: the whole chain's additions and removals
+  // accumulate in the copy's last-wins pending buffer and are frozen
+  // by a single Compact at the end instead of one freeze per version.
   rdf::KnowledgeBase kb = *base;
   for (const std::shared_ptr<const ChangeSet>& changes : chain) {
     kb.store().AddAll(changes->additions);
@@ -303,7 +303,7 @@ Result<rdf::KnowledgeBase> VersionedKnowledgeBase::MaterializeUncached(
 }
 
 Result<std::shared_ptr<const rdf::KnowledgeBase>>
-VersionedKnowledgeBase::Materialized(VersionId v) const {
+VersionedKnowledgeBase::SharedSnapshot(VersionId v) const {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (v >= entries_.size()) {
@@ -325,21 +325,9 @@ VersionedKnowledgeBase::Materialized(VersionId v) const {
 
 Result<const rdf::KnowledgeBase*> VersionedKnowledgeBase::Snapshot(
     VersionId v) const {
-  auto kb = Materialized(v);
+  auto kb = SharedSnapshot(v);
   if (!kb.ok()) return kb.status();
   return kb->get();
-}
-
-Result<std::shared_ptr<const rdf::KnowledgeBase>>
-VersionedKnowledgeBase::SharedSnapshot(VersionId v) const {
-  auto kb = Materialized(v);
-  if (!kb.ok()) return kb.status();
-  // Hand each caller its own segment-sharing copy rather than the
-  // entry's store itself: a TripleStore is thread-compatible, not
-  // thread-safe — concurrent first-use POS/OSP builds on one shared
-  // store would race. The copy is O(#segments) pointer sharing, zero
-  // triple copies, and gives the caller private lazy indexes.
-  return std::make_shared<const rdf::KnowledgeBase>(**kb);
 }
 
 void VersionedKnowledgeBase::EvictSnapshotCache() const {
@@ -350,8 +338,7 @@ void VersionedKnowledgeBase::EvictSnapshotCache() const {
 }
 
 size_t VersionedKnowledgeBase::StorageBytes() const {
-  // Asks each store for its actual footprint (only the permutation
-  // indexes it has really materialised, plus pending buffers) and
+  // Asks each store for its actual footprint (its segments) and
   // includes the cached replays. Gross accounting: a frozen segment
   // shared by several versions is billed by each holder, which is how
   // the archive-policy comparison has always been scored (full

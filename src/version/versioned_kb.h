@@ -112,16 +112,14 @@ class VersionedKnowledgeBase final : public KbView {
 
   /// The materialised store of version `v` itself — archived, or
   /// replayed and cached in its entry; the reference stays valid until
-  /// EvictSnapshotCache or destruction. For single-threaded callers
-  /// only: reads build the store's lazy indexes in place, which would
-  /// race with concurrent readers. Those use SharedSnapshot.
+  /// EvictSnapshotCache or destruction.
   Result<const rdf::KnowledgeBase*> Snapshot(VersionId v) const;
 
-  /// The caller's own copy of version `v`'s store. A segmented store
-  /// copy shares frozen segments — O(#segments), not O(triples) — and
-  /// carries private lazy indexes, so concurrent readers never touch
-  /// shared mutable state, and the caller may hold it across
-  /// EvictSnapshotCache and later commits.
+  /// Version `v`'s published store itself, pinned by the returned
+  /// pointer: every reader shares one frozen, immutable store, and the
+  /// caller may hold it across EvictSnapshotCache and later commits. A
+  /// change-set version is replayed outside the lock on a miss and
+  /// cached in its entry.
   Result<std::shared_ptr<const rdf::KnowledgeBase>> SharedSnapshot(
       VersionId v) const override;
 
@@ -140,8 +138,8 @@ class VersionedKnowledgeBase final : public KbView {
   void EvictSnapshotCache() const;
 
   /// Approximate resident bytes of version storage: every materialised
-  /// store, archived or cached (counting only the permutation indexes
-  /// each store has actually built), and the archived change sets.
+  /// store, archived or cached (its segments), and the archived change
+  /// sets.
   size_t StorageBytes() const;
 
   /// Same accounting with a caller-owned dedup set, so callers holding
@@ -185,11 +183,6 @@ class VersionedKnowledgeBase final : public KbView {
 
   /// Whether the policy archives version `v`'s store (never evicted).
   bool Archived(VersionId v) const;
-
-  /// Version `v`'s store, replaying it outside the lock and caching it
-  /// in its entry on a miss.
-  Result<std::shared_ptr<const rdf::KnowledgeBase>> Materialized(
-      VersionId v) const;
 
   /// Both StorageBytes accountings: gross, or deduplicated across
   /// `seen` when it is non-null.

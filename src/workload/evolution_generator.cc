@@ -103,7 +103,7 @@ EvolutionOutcome GenerateEvolution(const rdf::KnowledgeBase& current,
     for (rdf::TermId inst : instances[cls]) type_of[inst] = cls;
   }
   std::vector<InstanceEdge> edges;
-  for (const rdf::Triple& t : current.store().triples()) {
+  for (const rdf::Triple& t : current.store().Match({})) {
     if (voc.IsSchemaPredicate(t.predicate)) continue;
     auto s = type_of.find(t.subject);
     auto o = type_of.find(t.object);

@@ -35,13 +35,12 @@ uint64_t ExponentialGap(Rng& rng, double mean_us) {
   return gap >= 1.0 ? static_cast<uint64_t>(gap) : 1;
 }
 
-// The block of instance-level triples kAdversarialChurn flaps. Drawn
-// from the generator's private working copy (the triples() flat copy
-// never touches a served snapshot).
+// The block of instance-level triples kAdversarialChurn flaps, drawn
+// from one full scan of the generator's private working copy.
 std::vector<rdf::Triple> PickFlapPool(const rdf::KnowledgeBase& working,
                                       size_t block, Rng& rng) {
   std::vector<rdf::Triple> instance_level;
-  for (const rdf::Triple& t : working.store().triples()) {
+  for (const rdf::Triple& t : working.store().Match({})) {
     if (!working.vocabulary().IsSchemaPredicate(t.predicate)) {
       instance_level.push_back(t);
     }

@@ -1,15 +1,15 @@
 // The concurrent-serving contract, raced for ThreadSanitizer (the
 // `tsan` preset runs every suite matching ConcurrentServing): readers
-// pin segment-list snapshots — of a sharded KB and of a durable
-// VersionedKnowledgeBase whose commits land through a synced commit
-// log — and keep serving at full fan-out while a committer lands new
-// versions: without blocking on the writer (not even on its fsync),
-// without torn reads, and with results byte-identical to an
-// idle-store run. Principals are read-only, so concurrent requests
-// may share one profile or group. Also covers the provenance path:
-// scratch-store splicing must reproduce the sequential audit trail
-// record for record, and concurrent single requests must keep every
-// trail whole.
+// share each version's published snapshot — of a sharded KB and of a
+// durable VersionedKnowledgeBase whose commits land through a synced
+// commit log — and keep serving at full fan-out while a committer
+// lands new versions or a checkpoint is saved: without blocking on the
+// writer (not even on its fsync), without torn reads, and with results
+// byte-identical to an idle-store run. Principals are read-only, so
+// concurrent requests may share one profile or group. Also covers the
+// provenance path: scratch-store splicing must reproduce the
+// sequential audit trail record for record, and concurrent single
+// requests must keep every trail whole.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +28,7 @@
 #include "provenance/store.h"
 #include "storage/commit_log.h"
 #include "storage/fault_env.h"
+#include "version/recovery.h"
 #include "version/sharded_kb.h"
 #include "workload/scenarios.h"
 
@@ -171,6 +172,8 @@ TEST(ConcurrentServingTest, PinnedReadersRaceACommitterWithoutTearing) {
     for (VersionId v = 0; v <= frozen_head; ++v) {
       auto snapshot = kb.SharedSnapshot(v);
       ASSERT_TRUE(snapshot.ok());
+      // Every reader shares the version's one published store.
+      EXPECT_EQ(kb.SharedSnapshot(v).value().get(), snapshot->get());
       expected_size[v] = (*snapshot)->size();
       expected_sample[v] =
           (*snapshot)->store().Match({rdf::kAnyTerm, scenario.properties[0],
@@ -254,6 +257,52 @@ TEST(ConcurrentServingTest, PinnedReadersRaceACommitterWithoutTearing) {
     EXPECT_EQ(kb.head(), frozen_head + 12);
     raced.ExpectLogHolds(frozen_head + 1, frozen_head + 12);
   }
+}
+
+// A checkpoint saved while readers serve the same version reads the
+// very store they share, and neither side disturbs the other.
+TEST(ConcurrentServingTest, CheckpointWhileServing) {
+  workload::Scenario scenario = SmallScenario(91);
+  version::VersionedKnowledgeBase& vkb = *scenario.vkb;
+  const VersionId head = vkb.head();
+  auto pinned = vkb.SharedSnapshot(head);
+  ASSERT_TRUE(pinned.ok());
+  // Two or more segments, so the save merges the stack.
+  ASSERT_GE((*pinned)->store().segments().size(), 2u);
+  const std::vector<Triple> expected = (*pinned)->store().Match({});
+
+  storage::FaultInjectionEnv env;
+  storage::SnapshotOptions options;
+  options.env = &env;
+  constexpr char kDir[] = "checkpoints";
+  std::atomic<int> mismatches{0};
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      do {
+        auto snapshot = vkb.SharedSnapshot(head);
+        if (!snapshot.ok() || (*snapshot)->store().Match({}) != expected) {
+          mismatches.fetch_add(1);
+          continue;
+        }
+        const rdf::KnowledgeBase copy = **snapshot;
+        if (copy.store().Match({}) != expected) mismatches.fetch_add(1);
+      } while (!done.load());
+    });
+  }
+  for (int i = 0; i < 20; ++i) {
+    const Status saved = version::SaveCheckpoint(vkb, head, kDir, 3, options);
+    EXPECT_TRUE(saved.ok()) << saved.ToString();
+  }
+  done.store(true);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0);
+
+  auto loaded =
+      storage::LoadSnapshot(version::CheckpointPath(kDir, head), &env);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->store.Match({}), expected);
 }
 
 TEST(ConcurrentServingTest, BatchesKeepServingWhileCommitsLand) {

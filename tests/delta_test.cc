@@ -19,7 +19,7 @@ TEST(LowLevelDeltaTest, ComputesAddedAndRemoved) {
   before.AddIriTriple("http://x/A", "http://x/p", "http://x/B");
   before.AddIriTriple("http://x/A", "http://x/p", "http://x/C");
   KnowledgeBase after = before;  // shares dictionary
-  after.store().Remove(after.store().triples()[0]);
+  after.store().Remove(after.store().Match({})[0]);
   after.AddIriTriple("http://x/D", "http://x/p", "http://x/E");
 
   const LowLevelDelta delta = ComputeLowLevelDelta(before, after);

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -61,7 +63,7 @@ TEST(SegmentStoreTest, FrozenSegmentsAreImmutableAcrossLaterMutations) {
     }
     if (step % 97 == 0) store.Compact();
   }
-  store.PrepareIndexes();
+  store.Compact();
 
   for (size_t i = 0; i < pinned.size(); ++i) {
     EXPECT_EQ(pinned[i]->live(), live_before[i]) << "segment " << i;
@@ -97,8 +99,8 @@ TEST(SegmentStoreTest, ServingReadsNeverMaterializeAFlatCopy) {
   ASSERT_GE(store.segments().size(), 2u);
 
   // The serving diet: point probes, s-bound scans, full merged scans,
-  // secondary-index scans, plus a snapshot copy. None of it may
-  // flatten the stack.
+  // predicate- and object-bound walks, plus a snapshot copy. None of it
+  // may flatten the stack.
   EXPECT_TRUE(store.Contains({5, 5, 5}));
   (void)store.Match({3, kAnyTerm, kAnyTerm});
   (void)store.Match({kAnyTerm, 1, kAnyTerm});
@@ -113,11 +115,57 @@ TEST(SegmentStoreTest, ServingReadsNeverMaterializeAFlatCopy) {
   EXPECT_TRUE(snapshot.Contains({5, 5, 5}));
   EXPECT_EQ(store.stats().materializations, 0u);
   EXPECT_EQ(snapshot.stats().materializations, 0u);
+}
 
-  // triples() on a multi-segment stack is the one flattening entry
-  // point — and it says so in the counter.
-  (void)store.triples();
-  EXPECT_EQ(store.stats().materializations, 1u);
+// A frozen store is immutable: any number of threads may read and copy
+// one shared store (TSan checks that no read writes to it), and each
+// thread sees exactly what a private twin built the same way answers.
+TEST(SegmentStoreTest, ConcurrentReadersShareOneFrozenStore) {
+  const TripleStore shared = LayeredStore();
+  const TripleStore twin = LayeredStore();
+  ASSERT_GE(twin.segments().size(), 2u);
+  TripleStore base;
+  for (uint32_t i = 0; i < 400; i += 3) base.Add({i, i % 7, i % 13});
+  base.Compact();
+
+  // All eight pattern shapes, over terms the layered stack holds.
+  const std::vector<TriplePattern> shapes = {
+      {kAnyTerm, kAnyTerm, kAnyTerm}, {3, kAnyTerm, kAnyTerm},
+      {kAnyTerm, 1, kAnyTerm},        {kAnyTerm, kAnyTerm, 2},
+      {1000, 1, kAnyTerm},            {1001, kAnyTerm, 2},
+      {kAnyTerm, 3, 3},               {1002, 3, 3}};
+  std::vector<std::vector<Triple>> expected;
+  for (const TriplePattern& pattern : shapes) {
+    expected.push_back(twin.Match(pattern));
+  }
+  const std::vector<Triple> added = TripleStore::Difference(twin, base);
+  const std::vector<Triple> removed = TripleStore::Difference(base, twin);
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&] {
+      for (int round = 0; round < 50; ++round) {
+        for (size_t i = 0; i < shapes.size(); ++i) {
+          if (shared.Match(shapes[i]) != expected[i]) mismatches.fetch_add(1);
+        }
+        if (!shared.Contains({5, 5, 5}) || shared.Contains({0, 0, 0})) {
+          mismatches.fetch_add(1);
+        }
+        if (TripleStore::Difference(shared, base) != added ||
+            TripleStore::Difference(base, shared) != removed) {
+          mismatches.fetch_add(1);
+        }
+        TripleStore copy = shared;
+        copy.Add({9000, 1, 1});
+        if (copy.size() != twin.size() + 1 || shared.Contains({9000, 1, 1})) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

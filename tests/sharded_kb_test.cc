@@ -219,7 +219,7 @@ TEST(ShardedKbSeedTest, InitialKbIsSplitAndServedBack) {
     initial.AddIriTriple("s" + std::to_string(i), "p" + std::to_string(i % 5),
                          "o" + std::to_string(i % 17));
   }
-  const std::vector<Triple> expected = initial.store().triples();
+  const std::vector<Triple> expected = initial.store().Match({});
 
   ShardedKnowledgeBase sharded({.shards = 4}, initial);
   EXPECT_EQ(sharded.shared_dictionary(), initial.shared_dictionary());
@@ -241,13 +241,13 @@ TEST(ShardedKbServingTest, SnapshotsPinWhileLaterCommitsLand) {
   auto pinned = sharded.SharedSnapshot(2);
   ASSERT_TRUE(pinned.ok());
   const size_t pinned_size = (*pinned)->size();
-  const std::vector<Triple> pinned_triples = (*pinned)->store().triples();
+  const std::vector<Triple> pinned_triples = (*pinned)->store().Match({});
 
   // Land more commits; the pinned reader must not notice.
   ReplayHistory(sharded, RandomHistory(62, 4));
   EXPECT_EQ(sharded.head(), 7u);
   EXPECT_EQ((*pinned)->size(), pinned_size);
-  EXPECT_EQ((*pinned)->store().triples(), pinned_triples);
+  EXPECT_EQ((*pinned)->store().Match({}), pinned_triples);
 }
 
 TEST(ShardedKbServingTest, ServingReadsNeverCopyTheStore) {

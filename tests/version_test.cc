@@ -107,7 +107,7 @@ TEST_P(VersionedKbTest, MaterializeUncachedMatchesSnapshot) {
     auto fresh = vkb.MaterializeUncached(v);
     ASSERT_TRUE(cached.ok());
     ASSERT_TRUE(fresh.ok());
-    EXPECT_EQ((*cached)->store().triples(), fresh->store().triples())
+    EXPECT_EQ((*cached)->store().Match({}), fresh->store().Match({}))
         << "version " << v;
   }
 }
@@ -120,7 +120,7 @@ TEST_P(VersionedKbTest, SnapshotCacheEviction) {
   vkb.EvictSnapshotCache();
   auto after = vkb.Snapshot(1);
   ASSERT_TRUE(after.ok());
-  EXPECT_EQ((*after)->store().triples(),
+  EXPECT_EQ((*after)->store().Match({}),
             (std::vector<Triple>{{1, 1, 1}}));
 }
 
@@ -232,7 +232,7 @@ TEST(VersionedKbPolicyTest, HybridAgreesWithFullOnLongHistories) {
     auto sh = hybrid.Snapshot(v);
     ASSERT_TRUE(sf.ok());
     ASSERT_TRUE(sh.ok());
-    EXPECT_EQ((*sf)->store().triples(), (*sh)->store().triples())
+    EXPECT_EQ((*sf)->store().Match({}), (*sh)->store().Match({}))
         << "version " << v;
   }
 }
@@ -254,7 +254,7 @@ TEST(VersionedKbPolicyTest, PoliciesAgreeOnAllSnapshots) {
     auto sc = chain.Snapshot(v);
     ASSERT_TRUE(sf.ok());
     ASSERT_TRUE(sc.ok());
-    EXPECT_EQ((*sf)->store().triples(), (*sc)->store().triples())
+    EXPECT_EQ((*sf)->store().Match({}), (*sc)->store().Match({}))
         << "version " << v;
   }
 }
