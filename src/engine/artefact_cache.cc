@@ -2,15 +2,87 @@
 
 #include <chrono>
 #include <iterator>
+#include <optional>
 #include <utility>
 
 namespace evorec::engine {
+
+using Scores = measures::LazyBetweenness::Scores;
+
+struct ArtefactCache::ScoreStore {
+  /// The resumable Brandes state of the pinned head.
+  struct HeadSlot {
+    uint64_t fingerprint = 0;
+    std::shared_ptr<const graph::SchemaGraph> graph;
+    graph::BetweennessPartials partials;
+  };
+
+  explicit ScoreStore(size_t tier_capacity) : capacity(tier_capacity) {}
+
+  /// The tier's scores of `fingerprint` (touched), or nullptr when it
+  /// has none for a graph of `node_count` nodes.
+  Scores Find(uint64_t fingerprint, size_t node_count) {
+    std::lock_guard<std::mutex> lock(mu);
+    auto it = tier.find(fingerprint);
+    if (it == tier.end() || it->second.first->size() != node_count) {
+      return nullptr;
+    }
+    lru.splice(lru.begin(), lru, it->second.second);
+    return it->second.first;
+  }
+
+  /// Files an exact result of `fingerprint`: its scores go into the
+  /// tier, and its per-chunk partials into the head slot when it is
+  /// the pinned head (they are freed otherwise).
+  void Deposit(uint64_t fingerprint,
+               std::shared_ptr<const graph::SchemaGraph> graph,
+               const Scores& scores,
+               std::vector<std::vector<double>> chunks) {
+    std::lock_guard<std::mutex> lock(mu);
+    auto it = tier.find(fingerprint);
+    if (it != tier.end()) {
+      it->second.first = scores;
+      lru.splice(lru.begin(), lru, it->second.second);
+    } else {
+      lru.push_front(fingerprint);
+      tier.emplace(fingerprint, std::pair{scores, lru.begin()});
+      if (lru.size() > capacity) {
+        tier.erase(lru.back());
+        lru.pop_back();
+      }
+    }
+    if (pinned.has_value() && pinned->second == fingerprint) {
+      slot = std::make_shared<const HeadSlot>(HeadSlot{
+          fingerprint, std::move(graph),
+          graph::BetweennessPartials{*scores, std::move(chunks)}});
+    }
+  }
+
+  /// The slot when it holds the partials of `fingerprint`.
+  std::shared_ptr<const HeadSlot> SlotOf(uint64_t fingerprint) {
+    std::lock_guard<std::mutex> lock(mu);
+    return slot != nullptr && slot->fingerprint == fingerprint ? slot
+                                                               : nullptr;
+  }
+
+  std::mutex mu;
+  const size_t capacity;
+  /// (version, fingerprint) of the pinned head.
+  std::optional<std::pair<version::VersionId, uint64_t>> pinned;
+  std::list<uint64_t> lru;  // most-recent first
+  std::unordered_map<uint64_t, std::pair<Scores, std::list<uint64_t>::iterator>>
+      tier;
+  // Shared so that a Refresh advances from it outside the lock while a
+  // deposit replaces it.
+  std::shared_ptr<const HeadSlot> slot;
+};
 
 ArtefactCache::ArtefactCache(size_t capacity, ThreadPool* pool)
     : capacity_(capacity == 0 ? 1 : capacity),
       pool_(pool),
       betweenness_runs_(std::make_shared<std::atomic<uint64_t>>(0)),
-      kernel_builds_(std::make_shared<std::atomic<uint64_t>>(0)) {}
+      kernel_builds_(std::make_shared<std::atomic<uint64_t>>(0)),
+      scores_(std::make_shared<ScoreStore>(capacity_ * kScoreTierFactor)) {}
 
 measures::VersionArtefacts ArtefactCache::Bundle(
     const BaseArtefacts& base,
@@ -59,11 +131,16 @@ Result<ArtefactCache::SharedBase> ArtefactCache::GetBase(
       entry.generation = my_generation;
       entry.lru_pos = lru_.begin();
       entries_.emplace(fingerprint, std::move(entry));
+      std::optional<uint64_t> pinned;
+      {
+        std::lock_guard<std::mutex> pin_lock(scores_->mu);
+        if (scores_->pinned.has_value()) pinned = scores_->pinned->second;
+      }
       while (lru_.size() > capacity_) {
         // The least recent entry other than the pinned head; never the
         // entry we just inserted (it is at the front).
         auto victim = std::prev(lru_.end());
-        if (*victim == pinned_head_ && victim != lru_.begin()) --victim;
+        if (*victim == pinned && victim != lru_.begin()) --victim;
         if (victim == lru_.begin()) break;
         entries_.erase(*victim);
         lru_.erase(victim);
@@ -122,24 +199,17 @@ Result<measures::VersionArtefacts> ArtefactCache::Refresh(
     uint64_t from_fingerprint, uint64_t to_fingerprint,
     const measures::ContextOptions& options, const Materializer& materialize_to,
     double churn_threshold, graph::BetweennessAdvanceStats* advance_stats) {
-  // Capture the predecessor's state first (it may be evicted by the
-  // successor's insertion below — capacity 1 still advances).
-  SharedBase old_base;
-  std::shared_ptr<const measures::LazyBetweenness> old_cell;
-  const uint64_t options_fp = measures::ContextOptionsFingerprint(options);
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++incremental_.refreshes;
-    auto it = entries_.find(from_fingerprint);
-    if (it != entries_.end() &&
-        it->second.base.wait_for(std::chrono::seconds(0)) ==
-            std::future_status::ready) {
-      Result<SharedBase> ready = it->second.base.get();
-      if (ready.ok()) old_base = *ready;
-      auto cell = it->second.betweenness.find(options_fp);
-      if (cell != it->second.betweenness.end()) old_cell = cell->second;
-    }
   }
+  // Only the head slot holds resumable partials, and only exact cells
+  // advance. Holding the slot keeps the predecessor's state alive
+  // while the advance runs, whatever the cache evicts meanwhile.
+  const std::shared_ptr<const ScoreStore::HeadSlot> previous =
+      options.betweenness_mode == measures::BetweennessMode::kExact
+          ? scores_->SlotOf(from_fingerprint)
+          : nullptr;
 
   Result<SharedBase> base = GetBase(to_fingerprint, materialize_to);
   if (!base.ok()) return base.status();
@@ -147,6 +217,7 @@ Result<measures::VersionArtefacts> ArtefactCache::Refresh(
   // Reuse a cell someone already installed for this (version, options)
   // — it is either the advance below from a racing refresh, or an
   // ordinary lazy cell; both are observationally identical.
+  const uint64_t options_fp = measures::ContextOptionsFingerprint(options);
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(to_fingerprint);
@@ -158,69 +229,96 @@ Result<measures::VersionArtefacts> ArtefactCache::Refresh(
     }
   }
 
-  const graph::BetweennessPartials* previous =
-      old_cell != nullptr ? old_cell->Partials() : nullptr;
-  if (old_base == nullptr || previous == nullptr) {
-    // Nothing to advance from (predecessor cold, evicted, or sampled
-    // mode): the successor starts lazy, exactly like a Get.
-    std::lock_guard<std::mutex> lock(mu_);
-    ++incremental_.stayed_lazy;
-  } else {
-    graph::BetweennessAdvanceStats stats;
-    graph::BetweennessPartials advanced = graph::BetweennessAdvance(
-        old_base->graph->graph(), *previous, (*base)->graph->graph(),
-        churn_threshold, &stats, pool_);
-    if (advance_stats != nullptr) *advance_stats = stats;
-    auto cell = std::make_shared<const measures::LazyBetweenness>(
-        (*base)->graph, options, std::move(advanced));
+  if (previous == nullptr) {
+    // Nothing to advance from: the successor starts lazy (or ready from
+    // the score tier), exactly like a Get.
     {
       std::lock_guard<std::mutex> lock(mu_);
-      stats.incremental ? ++incremental_.advanced
-                        : ++incremental_.full_recomputes;
-      incremental_.touched_nodes += stats.touched_nodes;
-      incremental_.affected_sources += stats.affected_sources;
-      incremental_.recomputed_sources += stats.recomputed_sources;
-      incremental_.total_sources += (*base)->graph->graph().node_count();
-      auto it = entries_.find(to_fingerprint);
-      if (it != entries_.end()) {
-        auto existing = it->second.betweenness.find(options_fp);
-        if (existing == it->second.betweenness.end()) {
-          it->second.betweenness.emplace(options_fp, cell);
-        } else {
-          cell = existing->second;  // a racer won; results are identical
-        }
-      }
+      ++incremental_.stayed_lazy;
     }
-    if (!stats.incremental) {
-      // The fallback inside the advance IS a full Brandes run — keep
-      // the headline counter honest.
-      betweenness_runs_->fetch_add(1, std::memory_order_relaxed);
-    }
-    return Bundle(**base, std::move(cell));
+    return Bundle(**base, CellFor(to_fingerprint, *base, options));
   }
 
-  return Bundle(**base, CellFor(to_fingerprint, *base, options));
+  graph::BetweennessAdvanceStats stats;
+  graph::BetweennessPartials advanced = graph::BetweennessAdvance(
+      previous->graph->graph(), previous->partials, (*base)->graph->graph(),
+      churn_threshold, &stats, pool_);
+  if (advance_stats != nullptr) *advance_stats = stats;
+  const Scores scores =
+      std::make_shared<const std::vector<double>>(std::move(advanced.scores));
+  scores_->Deposit(to_fingerprint, (*base)->graph, scores,
+                   std::move(advanced.chunks));
+  auto cell = std::make_shared<const measures::LazyBetweenness>(
+      (*base)->graph, options, scores);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stats.incremental ? ++incremental_.advanced
+                      : ++incremental_.full_recomputes;
+    incremental_.touched_nodes += stats.touched_nodes;
+    incremental_.affected_sources += stats.affected_sources;
+    incremental_.recomputed_sources += stats.recomputed_sources;
+    incremental_.total_sources += (*base)->graph->graph().node_count();
+    auto it = entries_.find(to_fingerprint);
+    if (it != entries_.end()) {
+      auto existing = it->second.betweenness.find(options_fp);
+      if (existing == it->second.betweenness.end()) {
+        it->second.betweenness.emplace(options_fp, cell);
+      } else {
+        cell = existing->second;  // a racer won; results are identical
+      }
+    }
+  }
+  if (!stats.incremental) {
+    // The fallback inside the advance IS a full Brandes run — keep
+    // the headline counter honest.
+    betweenness_runs_->fetch_add(1, std::memory_order_relaxed);
+  }
+  return Bundle(**base, std::move(cell));
 }
 
 std::shared_ptr<const measures::LazyBetweenness> ArtefactCache::CellFor(
     uint64_t fingerprint, const SharedBase& base,
     const measures::ContextOptions& options) {
   const uint64_t options_fp = measures::ContextOptionsFingerprint(options);
+  const bool exact =
+      options.betweenness_mode == measures::BetweennessMode::kExact;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(fingerprint);
   if (it != entries_.end()) {
     auto cell = it->second.betweenness.find(options_fp);
     if (cell != it->second.betweenness.end()) return cell->second;
   }
-  auto counter = betweenness_runs_;
-  // The version fingerprint salts sampled-mode pivot selection: the
-  // sample becomes a stable property of the version's content, so
-  // sampled results agree across engine instances, restarts, and
-  // incremental vs cold rebuilds.
-  auto cell = std::make_shared<const measures::LazyBetweenness>(
-      base->graph, options, pool_,
-      [counter] { counter->fetch_add(1, std::memory_order_relaxed); },
-      /*sampling_salt=*/fingerprint);
+  std::shared_ptr<const measures::LazyBetweenness> cell;
+  // An evicted version's exact scores outlive its entry in the tier: the
+  // rebuilt graph gets a ready cell, and Brandes does not run again. A
+  // tier vector of another length than the graph is not its result.
+  Scores remembered =
+      exact ? scores_->Find(fingerprint, base->graph->graph().node_count())
+            : nullptr;
+  if (remembered != nullptr) {
+    ++stats_.score_hits;
+    cell = std::make_shared<const measures::LazyBetweenness>(
+        base->graph, options, std::move(remembered));
+  } else {
+    // The version fingerprint salts sampled-mode pivot selection: the
+    // sample becomes a stable property of the version's content, so
+    // sampled results agree across engine instances, restarts, and
+    // incremental vs cold rebuilds. Sampled scores are never tiered.
+    auto counter = betweenness_runs_;
+    std::weak_ptr<ScoreStore> store;
+    if (exact) store = scores_;
+    auto on_computed = [counter, store, fingerprint, graph = base->graph](
+                           const Scores& scores,
+                           std::vector<std::vector<double>> chunks) {
+      counter->fetch_add(1, std::memory_order_relaxed);
+      if (auto live = store.lock()) {
+        live->Deposit(fingerprint, graph, scores, std::move(chunks));
+      }
+    };
+    cell = std::make_shared<const measures::LazyBetweenness>(
+        base->graph, options, pool_, /*sampling_salt=*/fingerprint,
+        std::move(on_computed));
+  }
   if (it != entries_.end()) {
     it->second.betweenness.emplace(options_fp, cell);
   }
@@ -229,9 +327,10 @@ std::shared_ptr<const measures::LazyBetweenness> ArtefactCache::CellFor(
   return cell;
 }
 
-void ArtefactCache::PinHead(uint64_t fingerprint) {
-  std::lock_guard<std::mutex> lock(mu_);
-  pinned_head_ = fingerprint;
+void ArtefactCache::PinHead(version::VersionId version, uint64_t fingerprint) {
+  std::lock_guard<std::mutex> lock(scores_->mu);
+  if (scores_->pinned.has_value() && version < scores_->pinned->first) return;
+  scores_->pinned = std::pair{version, fingerprint};
 }
 
 ArtefactCacheStats ArtefactCache::stats() const {
@@ -256,6 +355,10 @@ void ArtefactCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
   lru_.clear();
+  std::lock_guard<std::mutex> store_lock(scores_->mu);
+  scores_->tier.clear();
+  scores_->lru.clear();
+  scores_->slot.reset();
 }
 
 }  // namespace evorec::engine

@@ -8,23 +8,25 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "graph/betweenness.h"
 #include "measures/measure_context.h"
+#include "version/version.h"
 
 namespace evorec::engine {
 
 /// Counters exposing the artefact cache's behaviour. The reuse
 /// contract of the cold path reads directly off them: walking a
-/// K-version chain must show `betweenness_runs == K`,
-/// `graph_builds == K` and `kernel_builds == K` (the pre-cache
+/// K-version chain must show `graph_builds == K` and
+/// `kernel_builds == K` when the versions stay resident (the pre-cache
 /// pair-keyed path performed 2·(K−1) of each, rebuilding every middle
-/// version's artefacts for both pairs that touch it), and a commit
-/// refresh computes the kernels of the new head alone.
+/// version's artefacts for both pairs that touch it), and
+/// `betweenness_runs == K` at any capacity, because the score tier
+/// outlives eviction. A commit refresh computes the kernels of the new
+/// head alone.
 struct ArtefactCacheStats {
   uint64_t hits = 0;        ///< base artefacts served from the cache
   uint64_t misses = 0;      ///< triggered a base build
@@ -35,6 +37,7 @@ struct ArtefactCacheStats {
   uint64_t graph_builds = 0;      ///< SchemaGraph::Build runs
   uint64_t betweenness_runs = 0;  ///< full Brandes computations run
   uint64_t kernel_builds = 0;     ///< ComputeClassKernels runs
+  uint64_t score_hits = 0;  ///< new cells served ready from the score tier
 };
 
 /// Counters of the incremental-refresh path. Together with
@@ -47,8 +50,11 @@ struct IncrementalStats {
   uint64_t refreshes = 0;        ///< Refresh calls
   uint64_t advanced = 0;         ///< betweenness advanced incrementally
   uint64_t full_recomputes = 0;  ///< advance fell back to a full run
-  /// Predecessor had no computed betweenness — the successor cell
-  /// stays lazy (pay-for-what-you-use is preserved across refreshes).
+  /// The head slot held no partials of the predecessor (never
+  /// computed, or computed while it was not the pinned head), so
+  /// nothing was advanced: the successor cell stays lazy, or starts
+  /// ready from the score tier (pay-for-what-you-use is preserved
+  /// across refreshes).
   uint64_t stayed_lazy = 0;
   uint64_t touched_nodes = 0;      ///< cumulative adjacency-diff sizes
   uint64_t affected_sources = 0;   ///< cumulative frontier sizes
@@ -62,6 +68,18 @@ struct IncrementalStats {
 /// by version pair. Contexts for the pairs (V1,V2) and (V2,V3)
 /// therefore share every V2 artefact, and a timeline walk over K
 /// versions builds each version's artefacts exactly once.
+///
+/// Below the LRU sit two stores of exact betweenness results:
+/// - the *score tier*, a fingerprint-keyed LRU of every exact score
+///   vector a cell computed or a refresh advanced (8n bytes per
+///   version), kScoreTierFactor times as many versions as the LRU. A
+///   miss whose fingerprint is in the tier gets a ready cell: only its
+///   view and graph are rebuilt, and Brandes never runs twice for one
+///   version while the tier remembers it;
+/// - the *head slot*, the one resumable Brandes state (per-chunk
+///   partials, up to 32·n doubles) the cache keeps: the pinned
+///   head's, which the next commit's Refresh advances. Every other
+///   computation frees its partials after the fold.
 ///
 /// Thread-safe and single-flight: concurrent requests for one missing
 /// fingerprint coalesce into a single build (the materializer runs
@@ -80,6 +98,12 @@ class ArtefactCache {
   using Materializer =
       std::function<Result<std::shared_ptr<const rdf::KnowledgeBase>>()>;
 
+  /// Score-tier versions per artefact entry. A tier entry holds one
+  /// score vector (8n bytes, ≈7 KB at n≈900) where an entry holds a
+  /// snapshot, a view and a graph, so the tier remembers 8× as many
+  /// versions: 512 (≈3.7 MB) at the engine's default capacity of 64.
+  static constexpr size_t kScoreTierFactor = 8;
+
   /// `capacity` is clamped to >= 1. `pool` (optional, must outlive the
   /// cache) parallelises the Brandes passes of the betweenness cells.
   explicit ArtefactCache(size_t capacity, ThreadPool* pool = nullptr);
@@ -94,10 +118,11 @@ class ArtefactCache {
 
   /// The incremental path: the bundle of `to_fingerprint` (a commit's
   /// successor of `from_fingerprint`), advancing the predecessor's
-  /// computed betweenness through the affected-source frontier instead
-  /// of scheduling a cold Brandes run. Falls back gracefully at every
-  /// step — predecessor evicted, betweenness never forced, sampled
-  /// mode, or churn past `churn_threshold` — to the plain Get
+  /// partials in the head slot through the affected-source frontier
+  /// instead of scheduling a cold Brandes run, and leaving the
+  /// successor's partials there when it is the pinned head. Falls back
+  /// gracefully at every step — the slot holds another version,
+  /// sampled mode, or churn past `churn_threshold` — to the plain Get
   /// behaviour, so the returned bundle is always observationally
   /// identical to Get(to_fingerprint, options, materialize_to).
   /// `advance_stats` (optional) receives the per-call frontier
@@ -108,12 +133,17 @@ class ArtefactCache {
       const Materializer& materialize_to, double churn_threshold,
       graph::BetweennessAdvanceStats* advance_stats = nullptr);
 
-  /// Exempts `fingerprint` from LRU eviction until another fingerprint
-  /// is pinned; at most one is pinned at a time, so the cache holds at
-  /// most capacity + 1 entries. The engine pins the head version: every
-  /// commit refresh advances from it, so reads of older versions must
-  /// not age out its computed betweenness cell.
-  void PinHead(uint64_t fingerprint);
+  /// Pins version `version` (content `fingerprint`) as the head until
+  /// a newer version is pinned: its entry is exempt from LRU eviction
+  /// (at most one is pinned, so the cache holds at most capacity + 1
+  /// entries), and an exact Brandes run over it leaves its partials in
+  /// the head slot. The engine pins the head version, because every
+  /// commit refresh advances from it. The pin only moves forward: a
+  /// version older than the pinned one is ignored, so a reader that
+  /// read the head before a commit cannot unpin the commit's
+  /// successor. (Version ids order one KB's history; an engine that
+  /// serves several KBs keeps the highest id pinned.)
+  void PinHead(version::VersionId version, uint64_t fingerprint);
 
   ArtefactCacheStats stats() const;
 
@@ -122,8 +152,8 @@ class ArtefactCache {
   /// Number of resident base entries.
   size_t size() const;
 
-  /// Drops every cached entry (in-flight builds finish normally;
-  /// handed-out bundles stay valid).
+  /// Drops every cached entry, the score tier and the head slot
+  /// (in-flight builds finish normally; handed-out bundles stay valid).
   void Clear();
 
  private:
@@ -164,20 +194,24 @@ class ArtefactCache {
       uint64_t fingerprint, const SharedBase& base,
       const measures::ContextOptions& options);
 
+  /// The pin, the score tier and the head slot: what the cells'
+  /// computations deposit into (defined in the .cc).
+  struct ScoreStore;
+
   size_t capacity_;
   ThreadPool* pool_;
-  mutable std::mutex mu_;
+  mutable std::mutex mu_;  // taken before the store's own mutex
   std::list<uint64_t> lru_;  // most-recent first
   std::unordered_map<uint64_t, Entry> entries_;
-  std::optional<uint64_t> pinned_head_;
   ArtefactCacheStats stats_;
   IncrementalStats incremental_;
   uint64_t generation_ = 0;
-  // Brandes runs and kernel builds are counted from inside the lazy
-  // cells, which may outlive the cache (shared_ptr keeps the counters
-  // valid).
+  // Brandes runs, kernel builds and tier deposits happen inside the
+  // lazy cells, which may outlive the cache: the counters are shared,
+  // and the cells hold the store weakly.
   std::shared_ptr<std::atomic<uint64_t>> betweenness_runs_;
   std::shared_ptr<std::atomic<uint64_t>> kernel_builds_;
+  std::shared_ptr<ScoreStore> scores_;
 };
 
 }  // namespace evorec::engine

@@ -167,9 +167,11 @@ Result<std::shared_ptr<const SharedEvaluation>> EvaluationEngine::Evaluate(
   // here — outside the engine lock, so other keys stay servable
   // meanwhile and same-key callers wait on the in-flight future.
   const auto build = [&]() -> Result<measures::EvolutionContext> {
-    // The next commit advances from the head's betweenness cell: keep
-    // it resident however many older versions are read meanwhile.
-    if (v2 == head) artefacts_.PinHead(after->fingerprint);
+    // The next commit advances from the head's partials: keep the
+    // head resident however many older versions are read meanwhile.
+    // (A head read before a later commit is older than the pin, and
+    // the cache ignores it.)
+    if (v2 == head) artefacts_.PinHead(v2, after->fingerprint);
     auto pair = ArtefactPair(view, *before, *after, context_options,
                              /*advance=*/false);
     if (!pair.ok()) return pair.status();
@@ -276,7 +278,7 @@ Result<EvaluationEngine::RefreshResult> EvaluationEngine::Refresh(
   const ContextKey key{prev->fingerprint, curr->fingerprint, context_options};
 
   const auto build = [&]() -> Result<measures::EvolutionContext> {
-    artefacts_.PinHead(curr->fingerprint);
+    artefacts_.PinHead(head, curr->fingerprint);
     auto pair = ArtefactPair(view, *prev, *curr, context_options,
                              /*advance=*/true);
     if (!pair.ok()) return pair.status();

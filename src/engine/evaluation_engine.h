@@ -51,8 +51,11 @@ struct EngineOptions {
   /// Max contexts kept warm (least-recently-used eviction).
   size_t context_cache_capacity = 16;
   /// Max per-version artefact bundles kept warm (snapshot + schema
-  /// view + schema graph + betweenness). Versions are smaller than
-  /// contexts and shared across pairs, so this defaults higher.
+  /// view + schema graph + class kernels + betweenness scores).
+  /// Versions are smaller than contexts and shared across pairs, so
+  /// this defaults higher. The exact scores of
+  /// ArtefactCache::kScoreTierFactor times as many versions outlive
+  /// their bundles, so an evicted version never reruns Brandes.
   size_t artefact_cache_capacity = 64;
   /// Worker threads for parallel measure evaluation, batched serving,
   /// and the chunked parallel Brandes passes of cold context builds;

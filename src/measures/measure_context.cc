@@ -37,44 +37,45 @@ std::vector<double> ComputeBetweenness(const graph::Graph& g,
 
 LazyBetweenness::LazyBetweenness(
     std::shared_ptr<const graph::SchemaGraph> graph, ContextOptions options,
-    ThreadPool* pool, std::function<void()> on_compute, uint64_t sampling_salt)
+    ThreadPool* pool, uint64_t sampling_salt, OnComputed on_computed)
     : graph_(std::move(graph)),
       options_(options),
       pool_(pool),
-      on_compute_(std::move(on_compute)),
-      sampling_salt_(sampling_salt) {}
+      sampling_salt_(sampling_salt),
+      on_computed_(std::move(on_computed)) {}
+
+LazyBetweenness::LazyBetweenness(
+    std::shared_ptr<const graph::SchemaGraph> graph, ContextOptions options,
+    Scores scores)
+    : graph_(std::move(graph)), options_(options), scores_(std::move(scores)) {}
 
 LazyBetweenness::LazyBetweenness(
     std::shared_ptr<const graph::SchemaGraph> graph, ContextOptions options,
     graph::BetweennessPartials partials)
-    : graph_(std::move(graph)), options_(options) {
-  partials_ = std::move(partials);
-  ready_.store(true, std::memory_order_release);
-}
+    : LazyBetweenness(std::move(graph), options,
+                      std::make_shared<const std::vector<double>>(
+                          std::move(partials.scores))) {}
 
 const std::vector<double>& LazyBetweenness::Get() const {
   std::call_once(once_, [&] {
-    // Pre-seeded by the advance path — nothing to compute.
-    if (ready_.load(std::memory_order_acquire)) return;
-    if (on_compute_) on_compute_();
+    // Adopted at construction — nothing to compute.
+    if (scores_ != nullptr) return;
+    std::vector<std::vector<double>> chunks;
     if (options_.betweenness_mode == BetweennessMode::kExact) {
-      // Capture the per-chunk partials so a later commit can advance
-      // this cell instead of starting over.
-      partials_ = graph::BetweennessExactWithPartials(graph_->graph(), pool_);
+      graph::BetweennessPartials partials =
+          graph::BetweennessExactWithPartials(graph_->graph(), pool_);
+      scores_ = std::make_shared<const std::vector<double>>(
+          std::move(partials.scores));
+      chunks = std::move(partials.chunks);
     } else {
       ContextOptions salted = options_;
       salted.seed = SampledSeedFor(options_, sampling_salt_);
-      partials_.scores = ComputeBetweenness(graph_->graph(), salted, pool_);
+      scores_ = std::make_shared<const std::vector<double>>(
+          ComputeBetweenness(graph_->graph(), salted, pool_));
     }
-    ready_.store(true, std::memory_order_release);
+    if (on_computed_) on_computed_(scores_, std::move(chunks));
   });
-  return partials_.scores;
-}
-
-const graph::BetweennessPartials* LazyBetweenness::Partials() const {
-  if (options_.betweenness_mode != BetweennessMode::kExact) return nullptr;
-  if (!ready_.load(std::memory_order_acquire)) return nullptr;
-  return &partials_;
+  return *scores_;
 }
 
 LazyClassKernels::LazyClassKernels(
@@ -101,7 +102,7 @@ VersionArtefacts MakeVersionArtefacts(
       graph::SchemaGraph::Build(*artefacts.view,
                                 artefacts.view->classes()));
   artefacts.betweenness = std::make_shared<const LazyBetweenness>(
-      artefacts.graph, options, pool, nullptr, sampling_salt);
+      artefacts.graph, options, pool, sampling_salt);
   artefacts.kernels = std::make_shared<const LazyClassKernels>(artefacts.view);
   return artefacts;
 }

@@ -1,7 +1,6 @@
 #ifndef EVOREC_MEASURES_MEASURE_CONTEXT_H_
 #define EVOREC_MEASURES_MEASURE_CONTEXT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -79,32 +78,40 @@ std::vector<double> ScatterToUnion(
 /// betweenness vector (indexed like its schema graph). Cells are
 /// shared between every EvolutionContext that touches the version —
 /// and with the engine's ArtefactCache — so a version's Brandes run
-/// happens at most once no matter how many pairs include it.
+/// happens at most once no matter how many pairs include it. A cell
+/// holds only its final scores: an exact run hands its resumable
+/// per-chunk partials to `on_computed` (the engine keeps the pinned
+/// head's for the next commit to advance) and frees them otherwise.
 class LazyBetweenness {
  public:
-  /// `on_compute`, when set, fires exactly once, right before the
-  /// computation actually runs (cache-stats hook). `sampling_salt`
-  /// feeds SampledSeedFor in kSampled mode (0 = raw options.seed).
+  using Scores = std::shared_ptr<const std::vector<double>>;
+  /// Receives a computation's scores (the cell keeps the same vector)
+  /// and, in kExact mode, the raw per-chunk partial sums of the fold
+  /// (empty in kSampled mode).
+  using OnComputed =
+      std::function<void(const Scores&, std::vector<std::vector<double>>)>;
+
+  /// `on_computed`, when set, fires exactly once, right after the
+  /// computation actually ran (the engine's counter and score-tier
+  /// hook). `sampling_salt` feeds SampledSeedFor in kSampled mode
+  /// (0 = raw options.seed).
   LazyBetweenness(std::shared_ptr<const graph::SchemaGraph> graph,
                   ContextOptions options, ThreadPool* pool = nullptr,
-                  std::function<void()> on_compute = nullptr,
-                  uint64_t sampling_salt = 0);
+                  uint64_t sampling_salt = 0,
+                  OnComputed on_computed = nullptr);
 
-  /// Adopts an already-advanced result (the incremental-refresh path):
-  /// Get() serves `partials.scores` immediately and no pass ever runs,
-  /// so `on_compute`-style counters stay untouched. kExact only —
-  /// sampled cells are never advanced.
+  /// Adopts already-computed scores (an advanced refresh or the
+  /// engine's score tier): Get() serves them immediately and no pass
+  /// ever runs, so no hook fires.
+  LazyBetweenness(std::shared_ptr<const graph::SchemaGraph> graph,
+                  ContextOptions options, Scores scores);
+
+  /// As above, adopting `partials.scores`; the chunks are dropped.
   LazyBetweenness(std::shared_ptr<const graph::SchemaGraph> graph,
                   ContextOptions options, graph::BetweennessPartials partials);
 
   /// The betweenness vector, computed on first call.
   const std::vector<double>& Get() const;
-
-  /// The resumable per-chunk Brandes state, or nullptr when nothing
-  /// has been computed yet or the mode is sampled (no advance path).
-  /// Never forces the computation — a cell that stayed lazy stays
-  /// lazy, and its successor simply starts cold too.
-  const graph::BetweennessPartials* Partials() const;
 
   const graph::SchemaGraph& graph() const { return *graph_; }
 
@@ -112,11 +119,10 @@ class LazyBetweenness {
   std::shared_ptr<const graph::SchemaGraph> graph_;
   ContextOptions options_;
   ThreadPool* pool_ = nullptr;
-  std::function<void()> on_compute_;
   uint64_t sampling_salt_ = 0;
+  OnComputed on_computed_;
   mutable std::once_flag once_;
-  mutable graph::BetweennessPartials partials_;
-  mutable std::atomic<bool> ready_{false};
+  mutable Scores scores_;
 };
 
 /// The per-version class kernels behind the semantic measures (paper

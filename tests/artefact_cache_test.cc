@@ -3,8 +3,9 @@
 // build each version's snapshot, schema view, schema graph, class
 // kernels and betweenness exactly once (the pair-keyed path performed
 // 2·(K−1) builds), while producing reports bit-identical to the
-// classic per-pair path. Plus concurrency stresses over one shared
-// cache (exercised by the TSan CI job).
+// classic per-pair path; the score tier keeps Brandes at once per
+// version when the bundles are evicted. Plus concurrency stresses over
+// one shared cache (exercised by the TSan CI job).
 
 #include "engine/artefact_cache.h"
 
@@ -16,7 +17,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
 #include "engine/evaluation_engine.h"
+#include "graph/betweenness.h"
 #include "measures/evaluation.h"
 #include "measures/relevance.h"
 #include "measures/structural_shift.h"
@@ -48,6 +51,46 @@ void ExpectIdenticalReports(const measures::MeasureReport& a,
     EXPECT_EQ(a.scores()[i].score, b.scores()[i].score)
         << label << " term " << a.scores()[i].term;
   }
+}
+
+// Forwards to a KB but reports the head it read before a commit: a
+// reader that took head() and builds its pair after the commit landed.
+class StaleHeadView final : public version::KbView {
+ public:
+  StaleHeadView(const version::VersionedKnowledgeBase& kb,
+                version::VersionId head)
+      : kb_(kb), head_(head) {}
+
+  size_t version_count() const override { return head_ + 1; }
+  version::VersionId head() const override { return head_; }
+  Result<version::SnapshotHandle> Handle(version::VersionId v) const override {
+    return kb_.Handle(v);
+  }
+  Result<std::shared_ptr<const rdf::KnowledgeBase>> SharedSnapshot(
+      version::VersionId v) const override {
+    return kb_.SharedSnapshot(v);
+  }
+  Result<version::ChangeSet> Changes(version::VersionId v) const override {
+    return kb_.Changes(v);
+  }
+  Result<version::VersionId> Commit(version::ChangeSet, std::string,
+                                    std::string, uint64_t) override {
+    return FailedPreconditionError("stale view is read-only");
+  }
+
+ private:
+  const version::VersionedKnowledgeBase& kb_;
+  version::VersionId head_;
+};
+
+// Removes the head's first triple through `engine`.
+Result<EvaluationEngine::RefreshResult> CommitOneRemoval(
+    EvaluationEngine& engine, version::VersionedKnowledgeBase& vkb) {
+  const auto triples =
+      (*vkb.Snapshot(vkb.head()))->store().Match(rdf::TriplePattern{});
+  if (triples.empty()) return InternalError("empty head");
+  return engine.CommitAndRefresh(
+      vkb, version::ChangeSet{{}, {triples.front()}}, "a", "commit", 0);
 }
 
 TEST(ArtefactCacheChainWalkTest, ChainWalkBuildsEachVersionOnce) {
@@ -112,12 +155,7 @@ TEST(ArtefactCacheChainWalkTest, ClassKernelsBuildOncePerVersion) {
   }
 
   // A commit refresh computes the kernels of the new head alone.
-  const auto head = (*scenario.vkb->Snapshot(scenario.vkb->head()))
-                        ->store()
-                        .Match(rdf::TriplePattern{});
-  ASSERT_FALSE(head.empty());
-  auto refreshed = engine.CommitAndRefresh(
-      *scenario.vkb, version::ChangeSet{{}, {head.front()}}, "a", "commit", 0);
+  auto refreshed = CommitOneRemoval(engine, *scenario.vkb);
   ASSERT_TRUE(refreshed.ok());
   ASSERT_TRUE(refreshed->evaluation->AllReports().ok());
   EXPECT_EQ(engine.artefact_stats().kernel_builds, kVersions + 1);
@@ -204,10 +242,50 @@ TEST(ArtefactCacheTest, EvictionKeepsHandedOutBundlesValid) {
   ASSERT_TRUE(timeline.ok()) << timeline.status().ToString();
   EXPECT_EQ(timeline->transition_count(), 3u);
   const ArtefactCacheStats stats = engine.artefact_stats();
-  EXPECT_GT(stats.evictions, 0u);
-  // With capacity 1 the shared middle versions are rebuilt — the
-  // pair-keyed worst case, but never more than that.
-  EXPECT_LE(stats.snapshot_loads, 2u * 3u);
+  // Each pair's after-version is the next pair's before-version, so
+  // even one slot loads and scores every version exactly once; each
+  // load past the first evicts its predecessor, whose bundle the
+  // running pair still holds.
+  EXPECT_EQ(stats.snapshot_loads, 4u);
+  EXPECT_EQ(stats.evictions, 3u);
+  EXPECT_EQ(stats.betweenness_runs, 4u);
+}
+
+// The score tier outlives the artefact LRU: walking a chain twice with
+// contexts and bundles evicted in between rebuilds views and graphs,
+// but Brandes still runs once per version, and both walks match the
+// cache-free reference bit for bit.
+TEST(ArtefactCacheChainWalkTest, EvictedChainWalkRunsBrandesOncePerVersion) {
+  constexpr size_t kTransitions = 5;
+  const size_t kVersions = kTransitions + 1;
+  workload::Scenario scenario = ChainScenario(kTransitions);
+  measures::BetweennessShiftMeasure measure;
+  auto classic = measures::EvolutionTimeline::Compute(*scenario.vkb, measure);
+  ASSERT_TRUE(classic.ok());
+  measures::MeasureRegistry registry = measures::DefaultRegistry();
+  for (size_t capacity : {1u, 2u}) {
+    const std::string label = "capacity " + std::to_string(capacity);
+    EvaluationEngine engine(registry, {.context_cache_capacity = 1,
+                                       .artefact_cache_capacity = capacity,
+                                       .threads = 2});
+    for (int walk = 0; walk < 2; ++walk) {
+      auto timeline = engine.Timeline(*scenario.vkb, "betweenness_shift");
+      ASSERT_TRUE(timeline.ok()) << label << ": "
+                                 << timeline.status().ToString();
+      ASSERT_EQ(timeline->transition_count(), kTransitions) << label;
+      for (size_t t = 0; t < kTransitions; ++t) {
+        ExpectIdenticalReports(classic->report(t), timeline->report(t),
+                               label + " walk " + std::to_string(walk) +
+                                   " transition " + std::to_string(t));
+      }
+    }
+    const ArtefactCacheStats stats = engine.artefact_stats();
+    EXPECT_EQ(stats.betweenness_runs, kVersions) << label;
+    // The second walk found every version but the pinned head evicted
+    // and rebuilt its bundle, taking the scores from the tier.
+    EXPECT_EQ(stats.snapshot_loads, 2 * kVersions - 1) << label;
+    EXPECT_EQ(stats.score_hits, kVersions - 1) << label;
+  }
 }
 
 TEST(ArtefactCacheTest, PinnedHeadSurvivesEviction) {
@@ -221,7 +299,7 @@ TEST(ArtefactCacheTest, PinnedHeadSurvivesEviction) {
     };
   };
   ArtefactCache cache(2);
-  cache.PinHead(100);
+  cache.PinHead(4, 100);
   ASSERT_TRUE(cache.Get(100, options, materialize(4)).ok());
   for (uint64_t fp = 101; fp <= 104; ++fp) {
     const auto v = static_cast<version::VersionId>(fp - 101);
@@ -234,8 +312,10 @@ TEST(ArtefactCacheTest, PinnedHeadSurvivesEviction) {
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 5u);
 
-  // Pinning another version releases the old head to plain LRU.
-  cache.PinHead(104);
+  // Pinning a newer version releases the old head to plain LRU, and an
+  // older version cannot take the pin back.
+  cache.PinHead(5, 104);
+  cache.PinHead(4, 105);
   ASSERT_TRUE(cache.Get(105, options, materialize(0)).ok());
   ASSERT_TRUE(cache.Get(106, options, materialize(1)).ok());
   EXPECT_EQ(cache.size(), 2u);
@@ -268,10 +348,7 @@ TEST(ArtefactCacheChainWalkTest, CommitAfterHistoryReadsAdvancesFromTheHead) {
       InternalError("released"));
   const ArtefactCacheStats before = engine.artefact_stats();
 
-  const auto triples = (*vkb.Snapshot(head))->store().Match(rdf::TriplePattern{});
-  ASSERT_FALSE(triples.empty());
-  auto refreshed = engine.CommitAndRefresh(
-      vkb, version::ChangeSet{{}, {triples.front()}}, "a", "commit", 0);
+  auto refreshed = CommitOneRemoval(engine, vkb);
   ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
   ASSERT_TRUE(refreshed->evaluation->AllReports().ok());
 
@@ -294,6 +371,110 @@ TEST(ArtefactCacheChainWalkTest, CommitAfterHistoryReadsAdvancesFromTheHead) {
   auto served = refreshed->evaluation->Report("betweenness_shift");
   ASSERT_TRUE(served.ok());
   ExpectIdenticalReports(*reference, **served, "refreshed head pair");
+}
+
+// The head pin only moves forward. A reader that read the head before
+// a commit builds a pair ending at that old head; if it re-pinned it,
+// the commit's successor could be evicted, and the next commit would
+// rebuild its predecessor's bundle and lose its advance.
+TEST(ArtefactCacheChainWalkTest, StaleReaderCannotUnpinTheHead) {
+  workload::Scenario scenario = ChainScenario(4);
+  version::VersionedKnowledgeBase& vkb = *scenario.vkb;
+  measures::MeasureRegistry registry = measures::DefaultRegistry();
+  EvaluationEngine engine(registry, {.context_cache_capacity = 1,
+                                     .artefact_cache_capacity = 2,
+                                     .threads = 2,
+                                     .refresh_churn_threshold = 1.0});
+  const version::VersionId head = vkb.head();
+  auto warm = engine.Evaluate(vkb, head - 1, head);
+  ASSERT_TRUE(warm.ok());
+  ASSERT_TRUE((*warm)->AllReports().ok());
+  auto first = CommitOneRemoval(engine, vkb);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first->evaluation->AllReports().ok());
+
+  const StaleHeadView stale(vkb, head);
+  auto read = engine.Evaluate(stale, head - 2, head);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_TRUE((*read)->AllReports().ok());
+
+  const ArtefactCacheStats before = engine.artefact_stats();
+  auto second = CommitOneRemoval(engine, vkb);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  const IncrementalStats inc = engine.incremental_stats();
+  EXPECT_EQ(inc.refreshes, 2u);
+  EXPECT_EQ(inc.stayed_lazy, 0u);
+  EXPECT_EQ(inc.advanced + inc.full_recomputes, 2u);
+  // The predecessor stayed resident: only the new head was built.
+  EXPECT_EQ(engine.artefact_stats().misses, before.misses + 1);
+}
+
+// Only the pinned head keeps resumable partials: a version computed
+// while another was pinned cannot be advanced from, while one computed
+// as the pinned head is, bit-identically to a cold run.
+TEST(ArtefactCacheTest, OnlyThePinnedHeadKeepsPartials) {
+  workload::Scenario scenario = ChainScenario(2);
+  version::VersionedKnowledgeBase& vkb = *scenario.vkb;
+  std::vector<uint64_t> fp;
+  for (version::VersionId v = 0; v <= 2; ++v) {
+    fp.push_back(vkb.Handle(v)->fingerprint);
+  }
+  const auto materialize = [&vkb](version::VersionId v) {
+    return [&vkb, v] { return vkb.SharedSnapshot(v); };
+  };
+  measures::ContextOptions options;
+  ArtefactCache cache(4);
+
+  auto v0 = cache.Get(fp[0], options, materialize(0));
+  ASSERT_TRUE(v0.ok());
+  v0->betweenness->Get();  // computed unpinned: scores only
+  cache.PinHead(1, fp[1]);
+  auto v1 = cache.Refresh(fp[0], fp[1], options, materialize(1), 1.0);
+  ASSERT_TRUE(v1.ok());
+  EXPECT_EQ(cache.incremental_stats().stayed_lazy, 1u);
+  EXPECT_EQ(cache.incremental_stats().advanced +
+                cache.incremental_stats().full_recomputes,
+            0u);
+  v1->betweenness->Get();  // computed as the pinned head: into the slot
+
+  cache.PinHead(2, fp[2]);
+  auto v2 = cache.Refresh(fp[1], fp[2], options, materialize(2), 1.0);
+  ASSERT_TRUE(v2.ok());
+  const IncrementalStats inc = cache.incremental_stats();
+  EXPECT_EQ(inc.stayed_lazy, 1u);
+  EXPECT_EQ(inc.advanced + inc.full_recomputes, 1u);
+  EXPECT_EQ(cache.stats().betweenness_runs, 2u + inc.full_recomputes);
+  const std::vector<double> cold = graph::BetweennessExact(v2->graph->graph());
+  const std::vector<double>& advanced = v2->betweenness->Get();
+  ASSERT_EQ(advanced.size(), cold.size());
+  for (size_t i = 0; i < cold.size(); ++i) {
+    EXPECT_EQ(advanced[i], cold[i]) << "node " << i;
+  }
+}
+
+// A tier vector whose length differs from the rebuilt graph's node
+// count is not that graph's result: the cell recomputes instead.
+TEST(ArtefactCacheTest, TierIgnoresScoresOfAnotherLength) {
+  workload::Scenario scenario = ChainScenario(4);
+  version::VersionedKnowledgeBase& vkb = *scenario.vkb;
+  const auto materialize = [&vkb](version::VersionId v) {
+    return [&vkb, v] { return vkb.SharedSnapshot(v); };
+  };
+  measures::ContextOptions options;
+  ArtefactCache cache(1);
+  auto first = cache.Get(42, options, materialize(0));
+  ASSERT_TRUE(first.ok());
+  const size_t first_size = first->betweenness->Get().size();
+  ASSERT_TRUE(cache.Get(43, options, materialize(1)).ok());  // evicts 42
+
+  // Fingerprint 42 again, over content with another class count.
+  auto other = cache.Get(42, options, materialize(vkb.head()));
+  ASSERT_TRUE(other.ok());
+  ASSERT_NE(other->graph->graph().node_count(), first_size);
+  const std::vector<double>& scores = other->betweenness->Get();
+  EXPECT_EQ(cache.stats().score_hits, 0u);
+  EXPECT_EQ(cache.stats().betweenness_runs, 2u);
+  EXPECT_EQ(scores, graph::BetweennessExact(other->graph->graph()));
 }
 
 TEST(ArtefactCacheTest, FailedMaterializeIsNotCached) {
@@ -488,6 +669,94 @@ TEST(ArtefactCacheConcurrencyTest, ConcurrentEvaluateAllSharesKernelCells) {
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(cache.stats().kernel_builds, versions);
+}
+
+// Race: readers evaluate random adjacent pairs through an engine whose
+// artefact LRU holds two versions — so most reads rebuild an evicted
+// version's bundle and take its scores from the tier — while the main
+// thread lands commits that advance the head slot. Every served report
+// must equal the cache-free reference bit for bit, and once every
+// version has been scored, a full walk runs no Brandes at all.
+// Exercised under TSan in CI.
+TEST(ArtefactCacheConcurrencyTest, EvictedVersionsReuseScoresWhileCommitting) {
+  constexpr size_t kTransitions = 4;
+  constexpr size_t kReaders = 4;
+  constexpr size_t kReads = 8;
+  constexpr size_t kCommits = 4;
+  workload::Scenario scenario = ChainScenario(kTransitions, 37);
+  version::VersionedKnowledgeBase& vkb = *scenario.vkb;
+  const version::VersionId first_head = vkb.head();
+
+  measures::BetweennessShiftMeasure measure;
+  std::vector<measures::MeasureReport> reference;
+  for (version::VersionId v = 0; v < first_head; ++v) {
+    auto ctx = measures::EvolutionContext::FromVersions(vkb, v, v + 1);
+    ASSERT_TRUE(ctx.ok());
+    auto report = measure.Compute(*ctx);
+    ASSERT_TRUE(report.ok());
+    reference.push_back(std::move(report).value());
+  }
+
+  measures::MeasureRegistry registry = measures::DefaultRegistry();
+  EvaluationEngine engine(registry, {.context_cache_capacity = 2,
+                                     .artefact_cache_capacity = 2,
+                                     .threads = 2});
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      Rng rng(100 + r);
+      for (size_t i = 0; i < kReads; ++i) {
+        const auto v =
+            static_cast<version::VersionId>(rng.UniformInt(0, first_head - 1));
+        auto eval = engine.Evaluate(vkb, v, v + 1);
+        if (!eval.ok()) {
+          ++failures;
+          continue;
+        }
+        auto report = (*eval)->Report("betweenness_shift");
+        if (!report.ok() ||
+            (*report)->scores().size() != reference[v].scores().size()) {
+          ++failures;
+          continue;
+        }
+        for (size_t s = 0; s < reference[v].scores().size(); ++s) {
+          const auto& got = (*report)->scores()[s];
+          const auto& want = reference[v].scores()[s];
+          if (got.term != want.term || got.score != want.score) {
+            ++failures;
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (size_t c = 0; c < kCommits; ++c) {
+    auto committed = CommitOneRemoval(engine, vkb);
+    if (!committed.ok() || !committed->evaluation->AllReports().ok()) {
+      ++failures;
+    }
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  auto classic = measures::EvolutionTimeline::Compute(vkb, measure);
+  ASSERT_TRUE(classic.ok());
+  ASSERT_EQ(classic->transition_count(), kTransitions + kCommits);
+  uint64_t runs = 0;
+  for (int walk = 0; walk < 2; ++walk) {
+    runs = engine.artefact_stats().betweenness_runs;
+    auto timeline = engine.Timeline(vkb, "betweenness_shift");
+    ASSERT_TRUE(timeline.ok()) << timeline.status().ToString();
+    ASSERT_EQ(timeline->transition_count(), classic->transition_count());
+    for (size_t t = 0; t < classic->transition_count(); ++t) {
+      ExpectIdenticalReports(classic->report(t), timeline->report(t),
+                             "walk " + std::to_string(walk) + " transition " +
+                                 std::to_string(t));
+    }
+  }
+  EXPECT_EQ(engine.artefact_stats().betweenness_runs, runs);
 }
 
 }  // namespace
